@@ -40,15 +40,9 @@ from .grassmann import (
     w_membership,
 )
 from .matrices import PolyMatrix
-from .polynomials import MultiPoly, normalize_projective
+from .polynomials import MultiPoly, normalize_projective, projectively_equal
 
 SL2_RING = ("a", "b", "c", "d")
-
-
-def _poly(value, vars=()) -> MultiPoly:
-    if isinstance(value, MultiPoly):
-        return value
-    return MultiPoly.constant(value, vars)
 
 
 def _common_ring(*values) -> tuple[str, ...]:
@@ -331,11 +325,6 @@ def preserves_P7(g: AutWElement) -> bool:
 # -- group law ----------------------------------------------------------------
 
 
-def multiply(g1: AutWElement, g2: AutWElement) -> AutWElement:
-    """Alias for group_closure_check: product re-decomposed into (lam, U, G)."""
-    return group_closure_check(g1, g2)
-
-
 def group_closure_check(g1: AutWElement, g2: AutWElement) -> AutWElement:
     """Multiply the 5 x 5 matrices and re-decompose into (lam, U, G) form.
 
@@ -425,13 +414,14 @@ def inverse(g: AutWElement) -> AutWElement:
 
 
 def elements_equal(g1: AutWElement, g2: AutWElement) -> bool:
-    """Equality as projective transformations of P^9 (so -G ~ G)."""
-    w1 = g1.wedge_matrix()
-    w2 = g2.wedge_matrix()
-    flat1 = [x for row in w1.entries for x in row]
-    flat2 = [x for row in w2.entries for x in row]
-    from .polynomials import projectively_equal
+    """Equality as projective transformations of P^9 (so -G ~ G).
 
+    The 5 x 5 matrices are compared up to a scalar: for invertible A and B,
+    the wedge squares are proportional iff A and B are (if every e_i ^ e_j
+    is an eigenvector of the wedge square of A B^-1, that matrix is scalar).
+    """
+    flat1 = [x for row in g1.matrix5().entries for x in row]
+    flat2 = [x for row in g2.matrix5().entries for x in row]
     return projectively_equal(flat1, flat2)
 
 

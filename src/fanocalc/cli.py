@@ -4,10 +4,13 @@ Subcommands:
 
     fanocalc list                      catalog of scenarios
     fanocalc run <scenario> [...]      run one scenario
-    fanocalc report-all [...]          run everything
+    fanocalc report-all [...]          run every scenario, in catalog order
 
-Exit codes: 0 all pass, 1 verification failure, 2 usage error.  The flag
---strict demotes "partial" (soft-step failures only) to a failure.
+Exit codes: 0 all pass, 1 verification failure, 2 usage error (bad
+arguments, an unknown scenario, --samples below 1, or an --input descriptor
+that cannot be read).  The flag --strict demotes "partial" (soft-step
+failures only) to a failure.  For a saved report, redirect
+`fanocalc report-all --format json` to a file.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import DomainError
 from .scenarios import Context, Report, catalog, load_golden, run_scenario
@@ -45,9 +47,22 @@ def _build_parser() -> argparse.ArgumentParser:
     common(runp)
 
     allp = sub.add_parser("report-all", help="run every scenario")
-    allp.add_argument("--parallel", action="store_true", help="run scenarios concurrently")
     common(allp)
     return parser
+
+
+def _read_descriptor(path: str | None) -> dict | None:
+    """The JSON object in an --input file; unreadable input is a DomainError."""
+    if not path:
+        return None
+    try:
+        with open(path, "rb") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read input descriptor {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DomainError(f"input descriptor {path} is not a JSON object")
+    return data
 
 
 def _print_report(report: Report, fmt: str, stream=None) -> None:
@@ -84,43 +99,27 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:24s} {desc}")
         return 0
 
-    golden = load_golden(args.golden)
     if args.command == "run":
-        input_data = None
-        if args.input:
-            with open(args.input, "rb") as handle:
-                input_data = json.load(handle)
-        ctx = Context(seed=args.seed, samples=args.samples, golden=golden, input_data=input_data)
-        try:
-            report = run_scenario(args.scenario, ctx)
-        except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        _print_report(report, args.format)
-        return _status_code([report], args.strict)
-
-    if args.command == "report-all":
+        names = [args.scenario]
+    else:
         names = [name for name, _ in catalog()]
-
-        def run_one(name: str) -> Report:
-            ctx = Context(seed=args.seed, samples=args.samples, golden=golden)
-            return run_scenario(name, ctx)
-
-        if args.parallel:
-            with ThreadPoolExecutor() as pool:
-                reports = list(pool.map(run_one, names))
-        else:
-            reports = [run_one(name) for name in names]
-        reports.sort(key=lambda r: r.scenario)
-        for report in reports:
-            _print_report(report, args.format)
+    try:
+        ctx = Context(
+            seed=args.seed,
+            samples=args.samples,
+            golden=load_golden(args.golden),
+            input_data=_read_descriptor(getattr(args, "input", None)),
+        )
+        reports = [run_scenario(name, ctx) for name in names]
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    for report in reports:
+        _print_report(report, args.format)
+    if args.command == "report-all" and args.format == "text":
         summary = {r.scenario: r.status for r in reports}
-        if args.format == "text":
-            print("== summary:", json.dumps(summary))
-        return _status_code(reports, args.strict)
-
-    parser.print_help()
-    return USAGE_ERROR
+        print("== summary:", json.dumps(summary))
+    return _status_code(reports, args.strict)
 
 
 if __name__ == "__main__":

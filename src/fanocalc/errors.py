@@ -31,7 +31,3 @@ class SplitError(ValueError):
 
 class WitnessError(ValueError):
     """No rational group element realizes the requested transport."""
-
-
-class VerificationFailure(AssertionError):
-    """A scenario step disagrees with its pinned golden value."""

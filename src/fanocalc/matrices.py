@@ -2,9 +2,11 @@
 
 Determinants run through two routes: cofactor expansion for small sizes and
 fraction-free (Bareiss) elimination for size >= 5, where expression swell
-would otherwise hurt.  Rank and kernels are taken over the fraction field
-Q(vars); "for all parameter values" rank claims are certified separately via
-the gcd of all k x k minors (a sampling argument can never certify those).
+would otherwise hurt.  One fraction-free forward elimination serves the
+Bareiss determinant, the rank and the pivot choice of the kernel, all taken
+over the fraction field Q(vars); "for all parameter values" rank claims are
+certified separately via the gcd of all k x k minors (a sampling argument can
+never certify those).
 """
 
 from __future__ import annotations
@@ -202,35 +204,52 @@ def det_cofactor(m: PolyMatrix) -> MultiPoly:
     return minor(tuple(range(n)))
 
 
-def det_bareiss(m: PolyMatrix) -> MultiPoly:
-    """Fraction-free Gaussian elimination; all divisions are exact."""
-    if not m.is_square:
-        raise DimensionError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return MultiPoly.one(m.vars)
+def _eliminate(m: PolyMatrix) -> tuple[list[int], list[int], int, MultiPoly]:
+    """Fraction-free (Bareiss) forward elimination of m over Q(vars).
+
+    Returns (pivot rows, pivot columns, swap sign, last pivot).  Row indices
+    refer to m; the last pivot is the minor of m on the pivot rows and
+    columns, taken in pivot order, and is 1 when there is no pivot.  Every
+    division is exact because each entry stays a minor of m.
+    """
     a = [list(row) for row in m.entries]
-    sign = 1
+    order = list(range(m.rows))
     prev = MultiPoly.one(m.vars)
-    for k in range(n - 1):
-        if a[k][k].is_zero:
-            pivot_row = next(
-                (i for i in range(k + 1, n) if not a[i][k].is_zero), None
-            )
-            if pivot_row is None:
-                return MultiPoly.zero(m.vars)
-            a[k], a[pivot_row] = a[pivot_row], a[k]
+    pivot_rows: list[int] = []
+    pivot_cols: list[int] = []
+    sign = 1
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        pivot = next((i for i in range(r, m.rows) if not a[i][c].is_zero), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            order[r], order[pivot] = order[pivot], order[r]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+        for i in range(r + 1, m.rows):
+            for j in range(c + 1, m.cols):
+                num = a[i][j] * a[r][c] - a[i][c] * a[r][j]
                 q = num.div_exact(prev)
                 assert q is not None, "Bareiss division must be exact"
                 a[i][j] = q
-            a[i][k] = MultiPoly.zero(m.vars)
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return -result if sign < 0 else result
+        prev = a[r][c]
+        pivot_rows.append(order[r])
+        pivot_cols.append(c)
+        r += 1
+    return pivot_rows, pivot_cols, sign, prev
+
+
+def det_bareiss(m: PolyMatrix) -> MultiPoly:
+    """Determinant as the signed last pivot of fraction-free elimination."""
+    if not m.is_square:
+        raise DimensionError("determinant of a non-square matrix")
+    pivot_rows, _, sign, last = _eliminate(m)
+    if len(pivot_rows) < m.rows:
+        return MultiPoly.zero(m.vars)
+    return -last if sign < 0 else last
 
 
 def poly_det(m: PolyMatrix) -> MultiPoly:
@@ -244,61 +263,8 @@ def poly_det(m: PolyMatrix) -> MultiPoly:
 
 
 def rank_over_fraction_field(m: PolyMatrix) -> int:
-    """Rank of m with entries read in Q(vars); fraction-free elimination."""
-    a = [list(row) for row in m.entries]
-    rows, cols = m.rows, m.cols
-    prev = MultiPoly.one(m.vars)
-    rank = 0
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not a[i][c].is_zero), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                num = a[i][j] * a[r][c] - a[i][c] * a[r][j]
-                q = num.div_exact(prev)
-                assert q is not None
-                a[i][j] = q
-            a[i][c] = MultiPoly.zero(m.vars)
-        prev = a[r][c]
-        rank += 1
-        r += 1
-        if r == rows:
-            break
-    return rank
-
-
-def _pivot_profile(m: PolyMatrix) -> tuple[list[int], list[int]]:
-    """(pivot row indices, pivot column indices) from fraction-free forward
-    elimination; row indices refer to the original matrix."""
-    a = [list(row) for row in m.entries]
-    order = list(range(m.rows))
-    prev = MultiPoly.one(m.vars)
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pivot = next((i for i in range(r, m.rows) if not a[i][c].is_zero), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        order[r], order[pivot] = order[pivot], order[r]
-        for i in range(r + 1, m.rows):
-            for j in range(c + 1, m.cols):
-                num = a[i][j] * a[r][c] - a[i][c] * a[r][j]
-                q = num.div_exact(prev)
-                assert q is not None
-                a[i][j] = q
-            a[i][c] = MultiPoly.zero(m.vars)
-        prev = a[r][c]
-        pivot_rows.append(order[r])
-        pivot_cols.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return pivot_rows, pivot_cols
+    """Rank of m with entries read in Q(vars)."""
+    return len(_eliminate(m)[1])
 
 
 def kernel_over_fraction_field(m: PolyMatrix) -> list[tuple[MultiPoly, ...]]:
@@ -309,7 +275,7 @@ def kernel_over_fraction_field(m: PolyMatrix) -> list[tuple[MultiPoly, ...]]:
     coefficient positive, so projective equality of kernels is literal
     equality of the returned tuples.
     """
-    pivot_rows, pivot_cols = _pivot_profile(m)
+    pivot_rows, pivot_cols, _, _ = _eliminate(m)
     free = [c for c in range(m.cols) if c not in pivot_cols]
     square = m.submatrix(pivot_rows, pivot_cols)
     d = poly_det(square)

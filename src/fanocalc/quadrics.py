@@ -164,6 +164,8 @@ class QuadricNet:
     params: tuple[str, str, str] = NET_PARAMS
 
     def __post_init__(self):
+        if len(self.generators) != 3:
+            raise DomainError(f"a net has 3 generators, got {len(self.generators)}")
         vecs = [g.coefficient_vector() for g in self.generators]
         m = PolyMatrix((), [[Fraction(x) for x in v] for v in vecs])
         if rank_over_fraction_field(m) != 3:

@@ -11,9 +11,11 @@ Reports are deterministic given (scenario, seed).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -97,28 +99,39 @@ class Report:
         return rep
 
 
+_PINNED = object()
+
+
+@contextmanager
+def _reading_input():
+    """Turn errors raised while an input descriptor is read into DomainError."""
+    try:
+        yield
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed input descriptor: {type(exc).__name__}: {exc}") from exc
+
+
 class Context:
     """Execution context: seed, sample count, golden store, optional input."""
 
     def __init__(self, seed: int = 0, samples: int = 20, golden: dict | None = None, input_data: dict | None = None):
+        if samples < 1:
+            raise DomainError(f"samples must be at least 1, got {samples}")
         self.seed = seed
         self.samples = samples
         self.golden = golden if golden is not None else load_golden()
         self.input_data = input_data
 
-    def check(self, report: Report, claim: str, computed, note: str = "", soft: bool = False):
-        if claim not in self.golden:
-            raise KeyError(f"claim {claim!r} missing from the golden store")
-        expected = self.golden[claim]
+    def check(self, report: Report, claim: str, computed, expected=_PINNED, note: str = "", soft: bool = False):
+        """Append one step comparing computed with expected, which defaults
+        to the claim's golden pin; returns computed."""
+        if expected is _PINNED:
+            if claim not in self.golden:
+                raise KeyError(f"claim {claim!r} missing from the golden store")
+            expected = self.golden[claim]
         computed_json = _jsonable(computed)
-        passed = computed_json == expected
-        report.steps.append(Step(claim, expected, computed_json, passed, note, soft))
-        return computed
-
-    def check_value(self, report: Report, claim: str, computed, expected, note: str = "", soft: bool = False):
-        computed_json = _jsonable(computed)
-        passed = computed_json == _jsonable(expected)
-        report.steps.append(Step(claim, _jsonable(expected), computed_json, passed, note, soft))
+        expected_json = _jsonable(expected)
+        report.steps.append(Step(claim, expected_json, computed_json, computed_json == expected_json, note, soft))
         return computed
 
 
@@ -189,7 +202,7 @@ def scenario_conic_of_centers(ctx: Context) -> Report:
     rep = Report("conic-of-centers", ctx.seed, ctx.samples)
     kernel = conic_of_centers(canonical_pencil())
     display = vector_from_json(ctx.golden["conic_of_centers.kernel_display"])
-    ctx.check_value(
+    ctx.check(
         rep,
         "conic_of_centers.kernel_display",
         projectively_equal(kernel, display),
@@ -282,9 +295,10 @@ def scenario_autw_p7(ctx: Context) -> Report:
         rejected = True
     ctx.check(rep, "autw.violating_element_rejected", rejected)
     if ctx.input_data and "elements" in ctx.input_data:
-        for i, element_data in enumerate(ctx.input_data["elements"]):
-            element = autw.AutWElement.from_json(element_data)
-            ctx.check_value(
+        with _reading_input():
+            elements = [autw.AutWElement.from_json(e) for e in ctx.input_data["elements"]]
+        for i, element in enumerate(elements):
+            ctx.check(
                 rep,
                 f"autw.input_element_{i}_preserves_p7",
                 autw.preserves_P7(element),
@@ -325,22 +339,37 @@ def scenario_autw_orbit_formula(ctx: Context) -> Report:
     return rep
 
 
+def _sampled_note(note: str, failed: list[tuple[int, str]]) -> str:
+    """The note of a sampled step, extended by the index and cause of its
+    first failing sample so that (scenario, seed, index) reproduces it."""
+    if not failed:
+        return note
+    index, cause = failed[0]
+    return f"{note}; first failure: sample {index} ({cause})"
+
+
 def scenario_autw_closure(ctx: Context) -> Report:
     rep = Report("aut-w-closure", ctx.seed, ctx.samples)
     rng = random.Random(ctx.seed)
     pair_count = max(500, ctx.samples)
-    failures = 0
-    for _ in range(pair_count):
+    failed: list[tuple[int, str]] = []
+    for index in range(pair_count):
         g1 = autw.random_element(rng)
         g2 = autw.random_element(rng)
         try:
             product = autw.group_closure_check(g1, g2)
             roundtrip = autw.decompose_matrix(product.matrix5())
-            if not autw.elements_equal(product, roundtrip):
-                failures += 1
-        except Exception:
-            failures += 1
-    ctx.check(rep, "autw.closure_failures", failures, note=f"{pair_count} random pairs")
+            cause = None if autw.elements_equal(product, roundtrip) else "round trip differs"
+        except Exception as exc:
+            cause = type(exc).__name__
+        if cause is not None:
+            failed.append((index, cause))
+    ctx.check(
+        rep,
+        "autw.closure_failures",
+        len(failed),
+        note=_sampled_note(f"{pair_count} random pairs", failed),
+    )
     ring = tuple(f"{n}{i}" for i in (1, 2) for n in ("u", "v", "x", "y"))
     gens1 = [MultiPoly.variable(f"{n}1", ring) for n in ("u", "v", "x", "y")]
     gens2 = [MultiPoly.variable(f"{n}2", ring) for n in ("u", "v", "x", "y")]
@@ -409,7 +438,7 @@ def scenario_orbit_invariance(ctx: Context) -> Report:
 def scenario_orbit_witnesses(ctx: Context) -> Report:
     rep = Report("orbit-witnesses", ctx.seed, ctx.samples)
     rng = random.Random(ctx.seed)
-    failures = 0
+    failed: list[tuple[int, str]] = []
     trials = 0
     for seed_point, stratum in (
         (WedgePoint.basis_vector(3, 4), autw.OrbitLabel.OPEN_ORBIT),
@@ -419,26 +448,22 @@ def scenario_orbit_witnesses(ctx: Context) -> Report:
         for _ in range(20):
             p = autw.wedge_square_action(autw.random_element(rng), seed_point)
             q = autw.wedge_square_action(autw.random_element(rng), seed_point)
-            trials += 1
             try:
                 witness = autw.orbit_transitivity_witness(p, q)
-                if witness is None or not autw.wedge_square_action(witness, p).proj_eq(q):
-                    failures += 1
-            except Exception:
-                failures += 1
-    ctx.check(rep, "orbit.witness_failures", failures, note=f"{trials} transported pairs")
+                ok = witness is not None and autw.wedge_square_action(witness, p).proj_eq(q)
+                cause = None if ok else "no valid witness"
+            except Exception as exc:
+                cause = type(exc).__name__
+            if cause is not None:
+                failed.append((trials, cause))
+            trials += 1
+    ctx.check(
+        rep,
+        "orbit.witness_failures",
+        len(failed),
+        note=_sampled_note(f"{trials} transported pairs", failed),
+    )
     return rep
-
-
-def _steps_from_pipeline(ctx: Context, rep: Report, steps: list[dict]):
-    for s in steps:
-        claim = s["claim"]
-        if claim in ctx.golden:
-            ctx.check(rep, claim, s["computed"], note=s.get("note", ""), soft=s.get("soft", False))
-        else:
-            ctx.check_value(
-                rep, claim, s["computed"], s["expected"], note=s.get("note", ""), soft=s.get("soft", False)
-            )
 
 
 def scenario_line_transform(ctx: Context) -> Report:
@@ -449,21 +474,21 @@ def scenario_line_transform(ctx: Context) -> Report:
         "line.genus",
         birational.genus_from_anticanonical_cube(birational.initial_state_x10()),
     )
-    _steps_from_pipeline(ctx, rep, birational.scenario_line_transform())
+    birational.scenario_line_transform(functools.partial(ctx.check, rep))
     return rep
 
 
 def scenario_conic_transform(ctx: Context) -> Report:
     rep = Report("conic-transform", ctx.seed, ctx.samples)
     ctx.check(rep, "conic.curve_count_lines", 20, note="input constant: lines meeting a general conic")
-    _steps_from_pipeline(ctx, rep, birational.scenario_conic_transform())
+    birational.scenario_conic_transform(functools.partial(ctx.check, rep))
     return rep
 
 
 def scenario_node_projection(ctx: Context) -> Report:
     rep = Report("node-projection", ctx.seed, ctx.samples)
     ctx.check(rep, "node.line_count", 6, note="input constant: lines through the node")
-    _steps_from_pipeline(ctx, rep, birational.scenario_node_projection())
+    birational.scenario_node_projection(functools.partial(ctx.check, rep))
     data = quadrics.node_projection_scenario(seed=ctx.seed, samples=ctx.samples)
     ctx.check(rep, "quadrics.rank_P_o", data["rank_P_o"])
     ctx.check(rep, "quadrics.rank_P_inf", data["rank_P_inf"])
@@ -473,7 +498,7 @@ def scenario_node_projection(ctx: Context) -> Report:
     pen = quadrics.pfaffian_pencil_canonical()
     vec, _ = quadrics.vertex_curve(pen)
     display = vector_from_json(ctx.golden["quadrics.vertex_curve_display"])
-    ctx.check_value(
+    ctx.check(
         rep,
         "quadrics.vertex_curve_display",
         projectively_equal(vec, display),
@@ -484,7 +509,7 @@ def scenario_node_projection(ctx: Context) -> Report:
     ctx.check(rep, "quadrics.codim_table", codims)
     threshold = ctx.golden["split.min_success_fraction"]
     ok = data["net_successes"] >= threshold * ctx.samples
-    ctx.check_value(
+    ctx.check(
         rep,
         "node.net_success_threshold",
         ok,
@@ -499,10 +524,11 @@ def scenario_determinantal_split(ctx: Context) -> Report:
     if ctx.input_data and "net" in ctx.input_data:
         from .serialize import poly_to_json
 
-        gens = [
-            quadrics.QuadricForm.from_integer_matrix(m) for m in ctx.input_data["net"]
-        ]
-        net = quadrics.QuadricNet(tuple(gens))
+        with _reading_input():
+            gens = [
+                quadrics.QuadricForm.from_integer_matrix(m) for m in ctx.input_data["net"]
+            ]
+            net = quadrics.QuadricNet(tuple(gens))
         septic = quadrics.determinantal_septic(net)
         coeffs = poly_to_json(septic.form)["terms"]
         ctx.check(
@@ -515,21 +541,21 @@ def scenario_determinantal_split(ctx: Context) -> Report:
         residual, (count, distinct) = quadrics.septic_split(septic, line)
         ctx.check(rep, "split.sextic_degree", residual.degree)
         ctx.check(rep, "split.line_points", count)
-        ctx.check_value(rep, "split.line_points_distinct", distinct, True, soft=True)
+        ctx.check(rep, "split.line_points_distinct", distinct, True, soft=True)
         return rep
     rng = random.Random(ctx.seed)
     runs = [quadrics.sample_net_split(rng) for _ in range(ctx.samples)]
     successes = sum(1 for r in runs if r["ok"])
     degenerate = [i for i, r in enumerate(runs) if not r["ok"]]
     threshold = ctx.golden["split.min_success_fraction"]
-    ctx.check_value(
+    ctx.check(
         rep,
         "split.success_threshold",
         successes >= threshold * ctx.samples,
         True,
         note=f"{successes}/{ctx.samples} nets; degenerate samples {degenerate}",
     )
-    ctx.check_value(
+    ctx.check(
         rep,
         "split.all_samples_clean",
         successes == ctx.samples,
@@ -545,7 +571,7 @@ def scenario_determinantal_split(ctx: Context) -> Report:
             "line_points": "line_intersection_count",
         }[key]
         values = {r.get(field_name) for r in runs if r["ok"]}
-        ctx.check_value(rep, claim + "_uniform", values, {ctx.golden[claim]})
+        ctx.check(rep, claim + "_uniform", values, {ctx.golden[claim]})
     return rep
 
 
@@ -565,15 +591,16 @@ def scenario_membership_checks(ctx: Context) -> Report:
         {"coords": ["0", "1", "0", "0", "0", "0", "0", "0", "0", "0"], "grassmann": True, "p7": True, "w": True},
     ]
     spec = (ctx.input_data or {}).get("points", default_points)
-    for i, entry in enumerate(spec):
-        point = WedgePoint.make([Fraction(c) for c in entry["coords"]])
+    with _reading_input():
+        points = [WedgePoint.make([Fraction(c) for c in entry["coords"]]) for entry in spec]
+    for i, (entry, point) in enumerate(zip(spec, points)):
         for key, fn in (
             ("grassmann", grassmann_membership),
             ("p7", p7_membership),
             ("w", w_membership),
         ):
             if key in entry:
-                ctx.check_value(rep, f"membership.point{i}.{key}", fn(point), entry[key])
+                ctx.check(rep, f"membership.point{i}.{key}", fn(point), entry[key])
     return rep
 
 

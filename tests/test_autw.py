@@ -29,7 +29,7 @@ from fanocalc.autw import (
 )
 from fanocalc.errors import ConstraintError, DomainError, WitnessError
 from fanocalc.grassmann import WedgePoint, w_membership
-from fanocalc.polynomials import MultiPoly
+from fanocalc.polynomials import MultiPoly, projectively_equal
 
 
 E34 = WedgePoint.basis_vector(3, 4)
@@ -169,6 +169,31 @@ def test_elements_equal_mod_global_sign():
     h = assemble(-1, [[0, 0], [0, 0], [0, 0]], [[0, -1], [1, 0]])
     assert elements_equal(g, h)
     assert not elements_equal(g, pgl_element([[0, -1], [1, 0]]))
+
+
+def wedge_squares_equal(g1, g2):
+    """Reference equality: the two 10 x 10 wedge squares up to a scalar."""
+    flat1 = [x for row in g1.wedge_matrix().entries for x in row]
+    flat2 = [x for row in g2.wedge_matrix().entries for x in row]
+    return projectively_equal(flat1, flat2)
+
+
+def negated(g):
+    """(-lam, -U, -G): the same projective transformation as g."""
+    return AutWElement.unchecked(-g.lam, [[-x for x in row] for row in g.u], [[-x for x in row] for row in g.g])
+
+
+def test_elements_equal_matches_wedge_square_reference():
+    rng = random.Random(31)
+    for _ in range(40):
+        g1, g2 = random_element(rng), random_element(rng)
+        product = group_closure_check(g1, g2)
+        roundtrip = decompose_matrix(product.matrix5())
+        rescaled = AutWElement.unchecked(2 * product.lam, product.u, product.g)
+        for a, b in ((product, roundtrip), (product, negated(roundtrip)), (g1, negated(g1))):
+            assert elements_equal(a, b) and wedge_squares_equal(a, b)
+        for a, b in ((g1, g2), (product, g1), (product, rescaled)):
+            assert not elements_equal(a, b) and not wedge_squares_equal(a, b)
 
 
 def test_orbit_classify_examples():

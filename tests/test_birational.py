@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from fanocalc.birational import (
@@ -19,6 +21,7 @@ from fanocalc.birational import (
     scenario_node_projection,
 )
 from fanocalc.errors import DimensionError, DomainError, NotAFlopError
+from fanocalc.scenarios import Context, Report
 
 LINE = CurveData(genus=0, h_degree=1, k_degree=-1, label="line")
 CONIC = CurveData(genus=0, h_degree=2, k_degree=-2, label="conic")
@@ -185,9 +188,12 @@ def test_k_degree_of_curve():
 
 
 def test_scenarios_run_green():
+    ctx = Context()
     for fn in (scenario_line_transform, scenario_conic_transform, scenario_node_projection):
-        steps = fn()
-        assert all(s["pass"] for s in steps if not s.get("soft"))
+        report = Report(fn.__name__, ctx.seed, ctx.samples)
+        fn(functools.partial(ctx.check, report))
+        assert report.steps
+        assert all(s.passed for s in report.steps if not s.soft), report.steps
 
 
 def test_curve_data_validation():

@@ -16,7 +16,7 @@ from fanocalc.matrices import (
 )
 from fanocalc.polynomials import MultiPoly, variables
 
-from oracles import leibniz_det, perm_sign
+from oracles import leibniz_det, perm_sign, rational_matrix_rank
 
 
 def random_poly_matrix(rng, n, nvars=3, max_deg=2):
@@ -136,3 +136,57 @@ def test_minor_gcd_detects_common_factor():
     m = PolyMatrix(("t0", "t1"), [[t0, MultiPoly.zero(("t0", "t1"))], [MultiPoly.zero(("t0", "t1")), t0 * t1]])
     g = minor_gcd(m, 1)
     assert g == t0
+
+
+def low_rank_poly_matrix(rng, n, k, zero_col=None):
+    """An n x n product of random n x k and k x n matrices, so rank <= k;
+    zero_col empties one column, leaving the elimination without a pivot
+    there."""
+    left = random_poly_matrix(rng, max(n, k), nvars=2, max_deg=1)
+    right = random_poly_matrix(rng, max(n, k), nvars=2, max_deg=1)
+    a = left.submatrix(range(n), range(k))
+    b = right.submatrix(range(k), range(n))
+    if zero_col is not None:
+        z = MultiPoly.zero(b.vars)
+        b = PolyMatrix(b.vars, [[z if j == zero_col else x for j, x in enumerate(row)] for row in b.entries])
+    return a * b
+
+
+def test_singular_det_bareiss_matches_cofactor():
+    rng = random.Random(21)
+    for n in (5, 6, 7):
+        for zero_col in (None, 0, n // 2):
+            m = low_rank_poly_matrix(rng, n, n - 2, zero_col)
+            assert det_bareiss(m).is_zero
+            assert det_cofactor(m).is_zero
+
+
+def test_rank_matches_rational_oracle_on_known_rank():
+    rng = random.Random(22)
+    for n in (5, 6, 7):
+        for k in range(1, n + 1):
+            for zero_col in (None, 0, n // 2):
+                rows = [[Fraction(rng.randint(-3, 3)) for _ in range(k)] for _ in range(n)]
+                cols = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(k)]
+                if zero_col is not None:
+                    for row in cols:
+                        row[zero_col] = Fraction(0)
+                product = [
+                    [sum((rows[i][t] * cols[t][j] for t in range(k)), Fraction(0)) for j in range(n)]
+                    for i in range(n)
+                ]
+                expected = rational_matrix_rank(product)
+                assert expected <= k
+                assert rank_over_fraction_field(PolyMatrix((), product)) == expected
+
+
+def test_kernel_of_low_rank_matrix_annihilates():
+    rng = random.Random(23)
+    for n in (5, 6):
+        for zero_col in (None, 0, n // 2):
+            m = low_rank_poly_matrix(rng, n, 3, zero_col)
+            rank = rank_over_fraction_field(m)
+            basis = kernel_over_fraction_field(m)
+            assert len(basis) == n - rank >= 2
+            for vec in basis:
+                assert all(p.is_zero for p in m.apply(vec))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fanocalc.cli import main
+from fanocalc.errors import DomainError
 from fanocalc.scenarios import (
     Context,
     Report,
@@ -41,8 +42,6 @@ def test_fast_scenarios_pass(name):
 
 
 def test_unknown_scenario_raises():
-    from fanocalc.errors import DomainError
-
     with pytest.raises(DomainError):
         run_scenario("nonexistent")
 
@@ -81,6 +80,9 @@ def test_cli_list_and_exit_codes(capsys):
     assert "schubert-table" in out
     assert main(["run", "nonexistent"]) == 2
     assert main([]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["report-all", "--parallel"])
+    assert exc.value.code == 2
 
 
 def test_cli_run_text_and_json(capsys):
@@ -153,15 +155,6 @@ def test_cli_report_all_smoke(capsys):
     assert code == 0
 
 
-def test_cli_report_all_parallel_matches_sequential(capsys):
-    code_seq = main(["report-all", "--samples", "2", "--format", "json"])
-    seq = capsys.readouterr().out
-    code_par = main(["report-all", "--samples", "2", "--parallel", "--format", "json"])
-    par = capsys.readouterr().out
-    assert code_seq == code_par == 0
-    assert seq == par
-
-
 def test_element_inline_descriptor(tmp_path, capsys):
     descriptor = {
         "elements": [
@@ -173,3 +166,97 @@ def test_element_inline_descriptor(tmp_path, capsys):
     assert main(["run", "aut-w-p7", "--input", str(path)]) == 0
     out = capsys.readouterr().out
     assert "input_element_0" in out
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sample_count_below_one_is_a_usage_error(samples, capsys):
+    with pytest.raises(DomainError):
+        Context(samples=samples)
+    assert main(["report-all", "--samples", str(samples)]) == 2
+    assert main(["run", "node-projection", "--samples", str(samples)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: samples must be at least 1") == 2
+
+
+ZERO_U = ["0", "0", "0", "0", "0", "0"]
+
+
+@pytest.mark.parametrize(
+    "scenario, content",
+    [
+        ("membership-checks", "{not json"),
+        ("membership-checks", None),
+        ("membership-checks", json.dumps(["points"])),
+        ("membership-checks", json.dumps({"points": [{"coords": ["x"] + ["0"] * 9}]})),
+        ("membership-checks", json.dumps({"points": [{"w": True}]})),
+        ("determinantal-split", json.dumps({"net": [[[1, 0], [0]]] * 3})),
+        ("determinantal-split", json.dumps({"net": [[[int(i == j) for j in range(7)] for i in range(7)]] * 4})),
+        ("aut-w-p7", json.dumps({"elements": [{"lambda": "1", "G": ["1", "0", "0", "0"], "U": ZERO_U}]})),
+        ("aut-w-p7", json.dumps({"elements": [{"lambda": "1", "G": ["1", "0", "0", "1"], "U": ZERO_U[:4]}]})),
+    ],
+    ids=[
+        "bad-json",
+        "missing-file",
+        "not-an-object",
+        "non-rational",
+        "missing-coords",
+        "ragged-net",
+        "four-quadric-net",
+        "element-fails-assemble",
+        "short-U",
+    ],
+)
+def test_malformed_input_descriptor_is_a_usage_error(scenario, content, tmp_path, capsys):
+    path = tmp_path / "descriptor.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["run", scenario, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_pipeline_mismatch_is_a_failed_step(tmp_path, capsys):
+    tampered = dict(load_golden())
+    tampered["line.deg_Y"] = 11
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({"version": 1, "claims": tampered}))
+    assert main(["run", "line-transform", "--golden", str(path)]) == 1
+    assert "FAIL line.deg_Y: computed 10, pinned 11" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "scenario, target, claim, note",
+    [
+        (
+            "aut-w-closure",
+            "group_closure_check",
+            "autw.closure_failures",
+            "500 random pairs; first failure: sample 3 (ArithmeticError)",
+        ),
+        (
+            "orbit-witnesses",
+            "orbit_transitivity_witness",
+            "orbit.witness_failures",
+            "60 transported pairs; first failure: sample 3 (ArithmeticError)",
+        ),
+    ],
+)
+def test_sampled_step_note_names_first_failing_sample(scenario, target, claim, note, monkeypatch):
+    from fanocalc import autw
+
+    original = getattr(autw, target)
+    calls = []
+
+    def fail_on_sample_3(*args):
+        calls.append(None)
+        if len(calls) == 4:
+            raise ArithmeticError("injected")
+        return original(*args)
+
+    monkeypatch.setattr(autw, target, fail_on_sample_3)
+    report = run_scenario(scenario, Context(seed=0, samples=1))
+    step = next(s for s in report.steps if s.claim == claim)
+    assert step.computed == 1
+    assert step.note == note
