@@ -8,12 +8,26 @@ polynomials record that order so golden-file comparisons are deterministic.
 The rational scalar type is the stdlib Fraction: it already maintains
 gcd(|num|, den) = 1 and den > 0, which is exactly the normal form required
 of scalars here.
+
+The public constructor ``MultiPoly(vars, terms)`` validates every term.
+Results built inside this module go through ``MultiPoly._raw`` instead, which
+stores its dict as given.  It relies on one invariant: ``vars`` is a tuple,
+every key is a tuple of ``len(vars)`` non-negative ints, and every value is a
+nonzero Fraction.  Arithmetic keeps it by dropping the coefficients that
+cancel to zero.
+
+Exact division is heap-ordered (Monagan & Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007): the
+remainder is a mutable dict whose exponents sit in a heap, so each step pops
+the grlex-leading term instead of rebuilding the remainder and searching it.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 RationalScalar = Fraction
@@ -61,6 +75,15 @@ class MultiPoly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _raw(cls, vars: tuple[str, ...], terms: dict[Exponent, Fraction]) -> "MultiPoly":
+        """Store an already-clean term map as it is (see the module docstring)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", vars)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
+
     def __setattr__(self, *_args):
         raise AttributeError("MultiPoly is immutable")
 
@@ -68,7 +91,7 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, vars: Sequence[str]) -> "MultiPoly":
-        return cls(vars, {})
+        return cls._raw(tuple(vars), {})
 
     @classmethod
     def one(cls, vars: Sequence[str]) -> "MultiPoly":
@@ -77,9 +100,8 @@ class MultiPoly:
     @classmethod
     def constant(cls, value: Scalar, vars: Sequence[str] = ()) -> "MultiPoly":
         c = _as_fraction(value)
-        if c == 0:
-            return cls(vars, {})
-        return cls(vars, {(0,) * len(tuple(vars)): c})
+        vs = tuple(vars)
+        return cls._raw(vs, {(0,) * len(vs): c} if c else {})
 
     @classmethod
     def variable(cls, name: str, vars: Sequence[str]) -> "MultiPoly":
@@ -87,7 +109,7 @@ class MultiPoly:
         if name not in vs:
             raise ValueError(f"variable {name!r} not in ring {vs}")
         expo = tuple(1 if v == name else 0 for v in vs)
-        return cls(vs, {expo: Fraction(1)})
+        return cls._raw(vs, {expo: Fraction(1)})
 
     @classmethod
     def monomial(cls, expo: Exponent, coeff: Scalar, vars: Sequence[str]) -> "MultiPoly":
@@ -166,7 +188,7 @@ class MultiPoly:
             for p, x in zip(pos, e):
                 ne[p] = x
             out[tuple(ne)] = c
-        return MultiPoly(vs, out)
+        return MultiPoly._raw(vs, out)
 
     def _pair(self, other) -> tuple["MultiPoly", "MultiPoly"]:
         if isinstance(other, (int, Fraction)):
@@ -189,13 +211,21 @@ class MultiPoly:
             return NotImplemented
         out = dict(a.terms)
         for e, c in b.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MultiPoly(a.vars, out)
+            s = out.get(e)
+            if s is None:
+                out[e] = c
+                continue
+            s += c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return MultiPoly._raw(a.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         a, b = self._pair(other)
@@ -211,11 +241,13 @@ class MultiPoly:
         if a is NotImplemented:
             return NotImplemented
         out: dict[Exponent, Fraction] = {}
+        b_terms = list(b.terms.items())
         for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-        return MultiPoly(a.vars, out)
+            for eb, cb in b_terms:
+                e = tuple(map(add, ea, eb))
+                s = out.get(e)
+                out[e] = ca * cb if s is None else s + ca * cb
+        return MultiPoly._raw(a.vars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -238,12 +270,18 @@ class MultiPoly:
             return NotImplemented
         if self.vars == other.vars:
             return self.terms == other.terms
-        return (self - other).is_zero
+        # constants coerce into any ring; other polynomials of different rings differ
+        if self.is_constant and other.is_constant:
+            return self.constant_value() == other.constant_value()
+        return False
 
     def __hash__(self):
         h = object.__getattribute__(self, "_hash")
         if h is None:
-            h = hash((self.vars, frozenset(self.terms.items())))
+            if self.is_constant:
+                h = hash(self.constant_value())
+            else:
+                h = hash((self.vars, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -259,7 +297,7 @@ class MultiPoly:
             ne[idx] -= 1
             ne = tuple(ne)
             out[ne] = out.get(ne, Fraction(0)) + c * e[idx]
-        return MultiPoly(self.vars, out)
+        return MultiPoly._raw(self.vars, out)
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
         """Full evaluation; every variable must receive a rational value."""
@@ -344,18 +382,34 @@ class MultiPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if a.is_zero:
             return a
-        quo = MultiPoly.zero(a.vars)
-        rem = a
         lb_e, lb_c = b.leading()
-        while not rem.is_zero:
-            lr_e, lr_c = rem.leading()
-            qe = tuple(x - y for x, y in zip(lr_e, lb_e))
+        b_tail = [(e, c) for e, c in b.terms.items() if e != lb_e]
+        # Every update below lies strictly under the popped lead, so pops come
+        # in descending grlex order and each exponent enters the heap once; an
+        # entry that cancels stays in rem as 0 and is skipped when popped.
+        rem = dict(a.terms)
+        heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
+        heapq.heapify(heap)
+        quo: dict[Exponent, Fraction] = {}
+        while heap:
+            lr_e = heapq.heappop(heap)[2]
+            lr_c = rem.pop(lr_e)
+            if not lr_c:
+                continue
+            qe = tuple(map(sub, lr_e, lb_e))
             if any(x < 0 for x in qe):
                 return None
-            qt = MultiPoly.monomial(qe, lr_c / lb_c, a.vars)
-            quo = quo + qt
-            rem = rem - qt * b
-        return quo
+            qc = lr_c / lb_c
+            quo[qe] = qc
+            for e, c in b_tail:
+                u = tuple(map(add, qe, e))
+                s = rem.get(u)
+                if s is None:
+                    rem[u] = -qc * c
+                    heapq.heappush(heap, (-sum(u), tuple(map(neg, u)), u))
+                else:
+                    rem[u] = s - qc * c
+        return MultiPoly._raw(a.vars, quo)
 
     def divides(self, other: "MultiPoly") -> bool:
         return other.div_exact(self) is not None
@@ -422,7 +476,7 @@ def _leading_coeff_in(p: MultiPoly, idx: int) -> MultiPoly:
         for e, c in p.terms.items()
         if e[idx] == d
     }
-    return MultiPoly(p.vars, out)
+    return MultiPoly._raw(p.vars, out)
 
 def _coeffs_in(p: MultiPoly, idx: int) -> list[MultiPoly]:
     """All coefficients of powers of variable #idx."""
@@ -430,7 +484,7 @@ def _coeffs_in(p: MultiPoly, idx: int) -> list[MultiPoly]:
     for e, c in p.terms.items():
         stripped = tuple(0 if i == idx else x for i, x in enumerate(e))
         by_deg.setdefault(e[idx], {})[stripped] = c
-    return [MultiPoly(p.vars, t) for t in by_deg.values()]
+    return [MultiPoly._raw(p.vars, t) for t in by_deg.values()]
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:

@@ -16,8 +16,10 @@ from fanocalc.polynomials import (
 RING = ("x", "y", "z")
 
 
-def small_polys(max_terms=4, max_total_deg=3, vars=RING):
-    coeffs = st.integers(-5, 5).map(Fraction)
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def small_polys(max_terms=4, max_total_deg=3, vars=RING, coeffs=st.integers(-5, 5).map(Fraction)):
     expo = st.tuples(*[st.integers(0, max_total_deg) for _ in vars]).filter(
         lambda e: sum(e) <= max_total_deg
     )
@@ -90,6 +92,125 @@ def test_exact_division():
     assert f.div_exact(x + y) == x - 2 * y + z
     assert f.div_exact(x + z) is None
     assert (x + y).divides(f)
+
+
+def reference_div_exact(a, b):
+    """Division by repeated grlex-leading terms: the loop div_exact replaced."""
+    quo = MultiPoly.zero(a.vars)
+    rem = a
+    lb_e, lb_c = b.leading()
+    while not rem.is_zero:
+        lr_e, lr_c = rem.leading()
+        qe = tuple(x - y for x, y in zip(lr_e, lb_e))
+        if any(x < 0 for x in qe):
+            return None
+        qt = MultiPoly.monomial(qe, lr_c / lb_c, a.vars)
+        quo = quo + qt
+        rem = rem - qt * b
+    return quo
+
+
+RINGS = (("x",), ("x", "y"), RING)
+
+
+def rational_polys(vars):
+    return small_polys(vars=vars, coeffs=RATIONALS)
+
+
+def nonzero_divisors(vars):
+    return st.one_of(
+        RATIONALS.filter(bool).map(lambda c: MultiPoly.constant(c, vars)),
+        rational_polys(vars).filter(lambda p: not p.is_zero),
+    )
+
+
+def ring_triples(first, second, third):
+    return st.sampled_from(RINGS).flatmap(
+        lambda vs: st.tuples(first(vs), second(vs), third(vs))
+    )
+
+
+def same_result(got, want):
+    if want is None:
+        return got is None
+    return got is not None and list(got.terms.items()) == list(want.terms.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_triples(rational_polys, nonzero_divisors, rational_polys))
+def test_div_exact_matches_reference_division(polys):
+    q, b, a = polys
+    product = q * b
+    got = product.div_exact(b)
+    assert got == q
+    assert same_result(got, reference_div_exact(product, b))
+    # a random dividend is mostly not a multiple of b: both must agree on None
+    assert same_result(a.div_exact(b), reference_div_exact(a, b))
+    assert same_result((product + a).div_exact(b), reference_div_exact(product + a, b))
+
+
+def test_div_exact_non_exact_and_constant_divisors():
+    b = Fraction(3, 2) * x * y - y + Fraction(1, 7)
+    assert (x**2 + 1).div_exact(x + 1) is None
+    assert (x * b + 1).div_exact(b) is None
+    assert (x * b).div_exact(b) == x
+    assert (x * b).div_exact(MultiPoly.constant(Fraction(-2, 5), RING)) == Fraction(-5, 2) * x * b
+    assert MultiPoly.zero(RING).div_exact(b).is_zero
+    with pytest.raises(ZeroDivisionError):
+        b.div_exact(MultiPoly.zero(RING))
+
+
+def assert_clean(p):
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == len(p.vars)
+        assert all(type(k) is int and k >= 0 for k in e)
+        assert type(c) is Fraction and c != 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_triples(rational_polys, rational_polys, nonzero_divisors))
+def test_results_store_no_zero_coefficients(polys):
+    f, g, b = polys
+    for p in (f + g, f - g, -f, f * g, f**2, f - f, f * b - f * b, (f * b).div_exact(b)):
+        assert_clean(p)
+    assert (f - f).terms == {}
+
+
+def test_cancellation_leaves_no_terms():
+    p = (x + 1) * (x - 1) - x**2 + 1
+    assert p.is_zero and p.terms == {}
+    for q in ((x + y) + (-x - y), (x - y) * 0, -(x - x), (x - x) ** 3, (y - y).div_exact(x)):
+        assert q.terms == {}
+        assert_clean(q)
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError):
+        MultiPoly(RING, {(1, -1, 0): 1})
+    with pytest.raises(ValueError):
+        MultiPoly(RING, {(1, 0): 1})
+    with pytest.raises(TypeError):
+        MultiPoly(RING, {(1, 0, 0): 0.5})
+
+
+def test_constants_hash_as_their_value_across_rings():
+    one_x = MultiPoly.constant(1, ("x",))
+    one_empty = MultiPoly.constant(1, ())
+    assert one_x == one_empty and hash(one_x) == hash(one_empty)
+    assert len({one_x, one_empty}) == 1
+    assert one_x == 1 and hash(one_x) == hash(1)
+    half = MultiPoly.constant(Fraction(1, 2), RING)
+    assert hash(half) == hash(Fraction(1, 2))
+    assert hash(MultiPoly.zero(RING)) == hash(0)
+
+
+def test_polynomials_of_different_rings_compare_unequal():
+    (u,) = variables("x")
+    (v,) = variables("y")
+    assert not (u == v)
+    assert u != v
+    assert u != x and x != u
+    assert u != MultiPoly.constant(1, ("y",))
 
 
 def test_content_primitive_monic():

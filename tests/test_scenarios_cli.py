@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -153,6 +154,20 @@ def test_cli_report_all_smoke(capsys):
     out = capsys.readouterr().out
     assert "summary" in out
     assert code == 0
+
+
+#: sha256 of ``report-all --format json --samples 2`` stdout (20583 bytes, seed 0).
+#: Reports must stay the same byte for byte; a change that alters one must
+#: say why and pin the new digest.
+REPORT_ALL_JSON_SHA256 = "c46099c22c8aec23a97c341413b8efac6052c30ce36700a2cb9bdc91c99765ac"
+
+
+def test_report_all_json_is_byte_identical_to_pinned_digest(capsys):
+    code = main(["report-all", "--format", "json", "--samples", "2"])
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert len(out) == 20583
+    assert hashlib.sha256(out).hexdigest() == REPORT_ALL_JSON_SHA256
 
 
 def test_element_inline_descriptor(tmp_path, capsys):
