@@ -81,9 +81,6 @@ class PicardState:
                 total += coeff * table.get(tuple(sorted((i, j, k))), 0)
         return total
 
-    def canonical_vector(self) -> tuple[int, ...]:
-        return self.canonical
-
     def minus_k(self) -> tuple[int, ...]:
         return tuple(-x for x in self.canonical)
 
@@ -104,9 +101,6 @@ class PicardState:
         if self.rank == 1:
             return (self.triple_product((1,), (1,), (1,)),)
         return self.table_row((1, 0), (0, 1))
-
-    def with_log(self, entry: str) -> "PicardState":
-        return PicardState(self.basis, self.triple, self.canonical, self.log + (entry,))
 
 
 def _make_triple(rank: int, values: dict[tuple[int, ...], int]) -> tuple:

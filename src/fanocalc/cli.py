@@ -7,8 +7,9 @@ Subcommands:
     fanocalc report-all [...]          run every scenario, in catalog order
 
 Exit codes: 0 all pass, 1 verification failure, 2 usage error (bad
-arguments, an unknown scenario, --samples below 1, or an --input descriptor
-that cannot be read).  The flag --strict demotes "partial" (soft-step
+arguments, an unknown scenario, --samples below 1, an --input descriptor
+that cannot be read, or a golden file that cannot be read or lacks a claim
+a scenario needs).  The flag --strict demotes "partial" (soft-step
 failures only) to a failure.  For a saved report, redirect
 `fanocalc report-all --format json` to a file.
 """

@@ -123,16 +123,6 @@ class WedgePoint:
     def proj_eq(self, other: "WedgePoint") -> bool:
         return projectively_equal(self.coords, other.coords)
 
-    def skew_matrix(self) -> PolyMatrix:
-        """The 5 x 5 skew matrix with (i, j) entry p_ij."""
-        vs = _unify_ring(self.coords)
-        z = MultiPoly.zero(vs)
-        grid = [[z] * 5 for _ in range(5)]
-        for (i, j), k in WEDGE_INDEX.items():
-            grid[i][j] = self.coords[k]
-            grid[j][i] = -self.coords[k]
-        return PolyMatrix(vs, grid)
-
     def rho_plane_coords(self) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
         return tuple(self.coords[WEDGE_INDEX[p]] for p in RHO_PLANE_PAIRS)
 

@@ -11,7 +11,9 @@ never certify those).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 from typing import Callable, Sequence
 
 from .errors import DimensionError
@@ -210,9 +212,23 @@ def _eliminate(m: PolyMatrix) -> tuple[list[int], list[int], int, MultiPoly]:
     Returns (pivot rows, pivot columns, swap sign, last pivot).  Row indices
     refer to m; the last pivot is the minor of m on the pivot rows and
     columns, taken in pivot order, and is 1 when there is no pivot.  Every
-    division is exact because each entry stays a minor of m.
+    division is exact because each entry stays a minor of the matrix being
+    eliminated.
+
+    Each row is first multiplied by the lcm of its coefficient denominators,
+    so the elimination runs over Z[vars] with integer coefficients.  Scaling
+    a row by a nonzero constant moves no pivot; it multiplies the minor by
+    that constant, which the last pivot divides out again.
     """
-    a = [list(row) for row in m.entries]
+    a = []
+    scales = []
+    for row in m.entries:
+        den = 1
+        for p in row:
+            for c in p.terms.values():
+                den = lcm(den, c.denominator)
+        scales.append(den)
+        a.append([p * den for p in row] if den != 1 else list(row))
     order = list(range(m.rows))
     prev = MultiPoly.one(m.vars)
     pivot_rows: list[int] = []
@@ -239,6 +255,9 @@ def _eliminate(m: PolyMatrix) -> tuple[list[int], list[int], int, MultiPoly]:
         pivot_rows.append(order[r])
         pivot_cols.append(c)
         r += 1
+    scale = prod(scales[i] for i in pivot_rows)
+    if scale != 1:
+        prev = prev * Fraction(1, scale)
     return pivot_rows, pivot_cols, sign, prev
 
 

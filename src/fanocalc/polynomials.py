@@ -1,20 +1,25 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a map from exponent tuples to nonzero Fraction coefficients,
+A polynomial is a map from exponent tuples to nonzero rational coefficients,
 together with an ordered tuple of variable names.  The term order everywhere
 is graded lexicographic (grlex) in the declared variable order; serialized
 polynomials record that order so golden-file comparisons are deterministic.
 
-The rational scalar type is the stdlib Fraction: it already maintains
-gcd(|num|, den) = 1 and den > 0, which is exactly the normal form required
-of scalars here.
+A stored coefficient has one canonical form: a nonzero ``int`` when it is
+integral, else a stdlib ``Fraction`` with denominator > 1 (Fraction keeps
+gcd(|num|, den) = 1 and den > 0), so integral values stay in plain ``int``
+arithmetic.  ``_scalar`` is the one place that brings a value into that form;
+``_quotient`` is the one coefficient division, and it returns an ``int`` when
+the division is exact and never a float.  The public queries
+``constant_value()`` and ``coefficient()`` still return ``Fraction``, so
+``1 / value`` at a call site stays exact.
 
 The public constructor ``MultiPoly(vars, terms)`` validates every term.
 Results built inside this module go through ``MultiPoly._raw`` instead, which
 stores its dict as given.  It relies on one invariant: ``vars`` is a tuple,
 every key is a tuple of ``len(vars)`` non-negative ints, and every value is a
-nonzero Fraction.  Arithmetic keeps it by dropping the coefficients that
-cancel to zero.
+canonical coefficient.  Arithmetic keeps it by dropping the coefficients that
+cancel to zero and normalizing the rest through ``_scalar``.
 
 Exact division is heap-ordered (Monagan & Pearce, "Polynomial division using
 dynamic arrays, heaps, and packed exponent vectors", CASC 2007): the
@@ -36,12 +41,24 @@ Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
+def _scalar(value: Scalar) -> Scalar:
+    """The canonical coefficient equal to value: an int when integral, else a
+    Fraction with denominator > 1.  Anything but an exact rational is refused."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """a / b as a canonical coefficient; never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _scalar(Fraction(a) / b)
 
 
 def _grlex_key(expo: Exponent) -> tuple:
@@ -49,7 +66,7 @@ def _grlex_key(expo: Exponent) -> tuple:
 
 
 class MultiPoly:
-    """Immutable multivariate polynomial with Fraction coefficients.
+    """Immutable multivariate polynomial with exact rational coefficients.
 
     Zero coefficients are never stored; the zero polynomial has an empty
     term map.  Arithmetic requires both operands to live in the same
@@ -60,7 +77,7 @@ class MultiPoly:
 
     def __init__(self, vars: Sequence[str], terms: Mapping[Exponent, Scalar]):
         vs = tuple(vars)
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Scalar] = {}
         n = len(vs)
         for expo, coeff in terms.items():
             e = tuple(int(x) for x in expo)
@@ -68,15 +85,15 @@ class MultiPoly:
                 raise ValueError(f"exponent {e} has length {len(e)}, expected {n}")
             if any(x < 0 for x in e):
                 raise ValueError(f"negative exponent in {e}")
-            c = _as_fraction(coeff)
-            if c != 0:
+            c = _scalar(coeff)
+            if c:
                 clean[e] = c
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _raw(cls, vars: tuple[str, ...], terms: dict[Exponent, Fraction]) -> "MultiPoly":
+    def _raw(cls, vars: tuple[str, ...], terms: dict[Exponent, Scalar]) -> "MultiPoly":
         """Store an already-clean term map as it is (see the module docstring)."""
         p = object.__new__(cls)
         object.__setattr__(p, "vars", vars)
@@ -99,7 +116,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, value: Scalar, vars: Sequence[str] = ()) -> "MultiPoly":
-        c = _as_fraction(value)
+        c = _scalar(value)
         vs = tuple(vars)
         return cls._raw(vs, {(0,) * len(vs): c} if c else {})
 
@@ -109,7 +126,7 @@ class MultiPoly:
         if name not in vs:
             raise ValueError(f"variable {name!r} not in ring {vs}")
         expo = tuple(1 if v == name else 0 for v in vs)
-        return cls._raw(vs, {expo: Fraction(1)})
+        return cls._raw(vs, {expo: 1})
 
     @classmethod
     def monomial(cls, expo: Exponent, coeff: Scalar, vars: Sequence[str]) -> "MultiPoly":
@@ -130,7 +147,7 @@ class MultiPoly:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def total_degree(self) -> int:
         """Max total degree of the stored terms; -1 for the zero polynomial."""
@@ -148,27 +165,19 @@ class MultiPoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def used_vars(self) -> tuple[str, ...]:
-        used = [False] * len(self.vars)
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used[i] = True
-        return tuple(v for v, u in zip(self.vars, used) if u)
-
-    def leading(self) -> tuple[Exponent, Fraction]:
+    def leading(self) -> tuple[Exponent, Scalar]:
         """Leading (exponent, coefficient) in grlex order."""
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
         expo = max(self.terms, key=_grlex_key)
         return expo, self.terms[expo]
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, Scalar]]:
         """Terms in descending grlex order."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def coefficient(self, expo: Exponent) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))
+        return Fraction(self.terms.get(tuple(expo), 0))
 
     # -- coercion ----------------------------------------------------------
 
@@ -182,7 +191,7 @@ class MultiPoly:
             if v not in vs:
                 raise ValueError(f"cannot lift: {v!r} missing from {vs}")
             pos.append(vs.index(v))
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Scalar] = {}
         for e, c in self.terms.items():
             ne = [0] * len(vs)
             for p, x in zip(pos, e):
@@ -191,6 +200,8 @@ class MultiPoly:
         return MultiPoly._raw(vs, out)
 
     def _pair(self, other) -> tuple["MultiPoly", "MultiPoly"]:
+        if type(other) is MultiPoly and self.vars == other.vars:
+            return self, other
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(other, self.vars)
         if not isinstance(other, MultiPoly):
@@ -216,10 +227,10 @@ class MultiPoly:
                 out[e] = c
                 continue
             s += c
-            if s:
-                out[e] = s
-            else:
+            if not s:
                 del out[e]
+            else:
+                out[e] = s if type(s) is int else _scalar(s)
         return MultiPoly._raw(a.vars, out)
 
     __radd__ = __add__
@@ -240,14 +251,16 @@ class MultiPoly:
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Scalar] = {}
         b_terms = list(b.terms.items())
         for ea, ca in a.terms.items():
             for eb, cb in b_terms:
                 e = tuple(map(add, ea, eb))
                 s = out.get(e)
                 out[e] = ca * cb if s is None else s + ca * cb
-        return MultiPoly._raw(a.vars, {e: c for e, c in out.items() if c})
+        return MultiPoly._raw(
+            a.vars, {e: c if type(c) is int else _scalar(c) for e, c in out.items() if c}
+        )
 
     __rmul__ = __mul__
 
@@ -289,19 +302,19 @@ class MultiPoly:
 
     def derivative(self, name: str) -> "MultiPoly":
         idx = self.vars.index(name)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Scalar] = {}
         for e, c in self.terms.items():
             if e[idx] == 0:
                 continue
             ne = list(e)
             ne[idx] -= 1
-            ne = tuple(ne)
-            out[ne] = out.get(ne, Fraction(0)) + c * e[idx]
+            # distinct terms stay distinct, so each new exponent is set once
+            out[tuple(ne)] = _scalar(c * e[idx])
         return MultiPoly._raw(self.vars, out)
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
         """Full evaluation; every variable must receive a rational value."""
-        vals = [_as_fraction(values[v]) for v in self.vars]
+        vals = [_scalar(values[v]) for v in self.vars]
         total = Fraction(0)
         for e, c in self.terms.items():
             term = c
@@ -313,8 +326,8 @@ class MultiPoly:
 
     def eval_some(self, values: Mapping[str, Scalar]) -> "MultiPoly":
         """Partial evaluation; unmentioned variables stay symbolic (same ring)."""
-        idxs = {self.vars.index(v): _as_fraction(c) for v, c in values.items()}
-        out: dict[Exponent, Fraction] = {}
+        idxs = {self.vars.index(v): _scalar(c) for v, c in values.items()}
+        out: dict[Exponent, Scalar] = {}
         for e, c in self.terms.items():
             coeff = c
             ne = list(e)
@@ -363,7 +376,7 @@ class MultiPoly:
         c = self.content()
         if c == 0:
             return self
-        return self * (1 / c)
+        return self * _quotient(1, c)
 
     def monic_normal(self) -> "MultiPoly":
         """Primitive form with positive grlex-leading coefficient."""
@@ -390,7 +403,7 @@ class MultiPoly:
         rem = dict(a.terms)
         heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
         heapq.heapify(heap)
-        quo: dict[Exponent, Fraction] = {}
+        quo: dict[Exponent, Scalar] = {}
         while heap:
             lr_e = heapq.heappop(heap)[2]
             lr_c = rem.pop(lr_e)
@@ -399,16 +412,17 @@ class MultiPoly:
             qe = tuple(map(sub, lr_e, lb_e))
             if any(x < 0 for x in qe):
                 return None
-            qc = lr_c / lb_c
+            qc = _quotient(lr_c, lb_c)
             quo[qe] = qc
             for e, c in b_tail:
                 u = tuple(map(add, qe, e))
                 s = rem.get(u)
                 if s is None:
-                    rem[u] = -qc * c
+                    s = -qc * c
                     heapq.heappush(heap, (-sum(u), tuple(map(neg, u)), u))
                 else:
-                    rem[u] = s - qc * c
+                    s = s - qc * c
+                rem[u] = s if type(s) is int else _scalar(s)
         return MultiPoly._raw(a.vars, quo)
 
     def divides(self, other: "MultiPoly") -> bool:
@@ -480,7 +494,7 @@ def _leading_coeff_in(p: MultiPoly, idx: int) -> MultiPoly:
 
 def _coeffs_in(p: MultiPoly, idx: int) -> list[MultiPoly]:
     """All coefficients of powers of variable #idx."""
-    by_deg: dict[int, dict[Exponent, Fraction]] = {}
+    by_deg: dict[int, dict[Exponent, Scalar]] = {}
     for e, c in p.terms.items():
         stripped = tuple(0 if i == idx else x for i, x in enumerate(e))
         by_deg.setdefault(e[idx], {})[stripped] = c

@@ -371,8 +371,6 @@ def node_projection_scenario(seed: int = 0, samples: int = 20) -> dict:
     pen = pfaffian_pencil_canonical()
     out["rank_P_o"] = pen.a.rank()
     out["rank_P_inf"] = pen.b.rank()
-    out["vertex_P_o"] = [str(p) for p in pen.a.vertex()]
-    out["vertex_P_inf"] = [str(p) for p in pen.b.vertex()]
     out["pencil_certificate"] = pen.rank_certificate()
     vec, degree = vertex_curve(pen)
     out["vertex_curve"] = [str(p) for p in vec]

@@ -43,17 +43,24 @@ GOLDEN_ENV = "FANO10_GOLDEN_PATH"
 
 
 def load_golden(path: str | None = None) -> dict:
-    """The versioned claim store: {claim id: pinned value}."""
+    """The versioned claim store: {claim id: pinned value}.  A golden file
+    that cannot be read or holds no "claims" object is a DomainError."""
     if path is None:
         path = os.environ.get(GOLDEN_ENV)
     if path is not None:
-        with open(path, "rb") as handle:
-            data = json.load(handle)
+        try:
+            with open(path, "rb") as handle:
+                data = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"cannot read golden file {path}: {exc}") from exc
     else:
         data = json.loads(
             resources.files("fanocalc").joinpath("data/golden.json").read_text()
         )
-    return data["claims"]
+    claims = data.get("claims") if isinstance(data, dict) else None
+    if not isinstance(claims, dict):
+        raise DomainError(f'golden file {path} has no "claims" object')
+    return claims
 
 
 @dataclass(frozen=True)
@@ -126,13 +133,18 @@ class Context:
         """Append one step comparing computed with expected, which defaults
         to the claim's golden pin; returns computed."""
         if expected is _PINNED:
-            if claim not in self.golden:
-                raise KeyError(f"claim {claim!r} missing from the golden store")
-            expected = self.golden[claim]
+            expected = self.pinned(claim)
         computed_json = _jsonable(computed)
         expected_json = _jsonable(expected)
         report.steps.append(Step(claim, expected_json, computed_json, computed_json == expected_json, note, soft))
         return computed
+
+    def pinned(self, claim: str):
+        """The golden pin of claim; a claim missing from the store is a DomainError."""
+        try:
+            return self.golden[claim]
+        except KeyError:
+            raise DomainError(f"claim {claim!r} missing from the golden store") from None
 
 
 def _jsonable(value):
@@ -201,7 +213,7 @@ def scenario_rank_certificates(ctx: Context) -> Report:
 def scenario_conic_of_centers(ctx: Context) -> Report:
     rep = Report("conic-of-centers", ctx.seed, ctx.samples)
     kernel = conic_of_centers(canonical_pencil())
-    display = vector_from_json(ctx.golden["conic_of_centers.kernel_display"])
+    display = vector_from_json(ctx.pinned("conic_of_centers.kernel_display"))
     ctx.check(
         rep,
         "conic_of_centers.kernel_display",
@@ -497,7 +509,7 @@ def scenario_node_projection(ctx: Context) -> Report:
     ctx.check(rep, "quadrics.vertex_curve_degree", data["vertex_curve_degree"])
     pen = quadrics.pfaffian_pencil_canonical()
     vec, _ = quadrics.vertex_curve(pen)
-    display = vector_from_json(ctx.golden["quadrics.vertex_curve_display"])
+    display = vector_from_json(ctx.pinned("quadrics.vertex_curve_display"))
     ctx.check(
         rep,
         "quadrics.vertex_curve_display",
@@ -507,7 +519,7 @@ def scenario_node_projection(ctx: Context) -> Report:
     )
     codims = {str(k): quadrics.determinantal_codim(k) for k in range(1, 7)}
     ctx.check(rep, "quadrics.codim_table", codims)
-    threshold = ctx.golden["split.min_success_fraction"]
+    threshold = ctx.pinned("split.min_success_fraction")
     ok = data["net_successes"] >= threshold * ctx.samples
     ctx.check(
         rep,
@@ -547,7 +559,7 @@ def scenario_determinantal_split(ctx: Context) -> Report:
     runs = [quadrics.sample_net_split(rng) for _ in range(ctx.samples)]
     successes = sum(1 for r in runs if r["ok"])
     degenerate = [i for i, r in enumerate(runs) if not r["ok"]]
-    threshold = ctx.golden["split.min_success_fraction"]
+    threshold = ctx.pinned("split.min_success_fraction")
     ctx.check(
         rep,
         "split.success_threshold",
@@ -571,7 +583,7 @@ def scenario_determinantal_split(ctx: Context) -> Report:
             "line_points": "line_intersection_count",
         }[key]
         values = {r.get(field_name) for r in runs if r["ok"]}
-        ctx.check(rep, claim + "_uniform", values, {ctx.golden[claim]})
+        ctx.check(rep, claim + "_uniform", values, {ctx.pinned(claim)})
     return rep
 
 

@@ -6,6 +6,7 @@ import pytest
 from fanocalc.errors import DimensionError
 from fanocalc.matrices import (
     PolyMatrix,
+    _eliminate,
     det_bareiss,
     det_cofactor,
     is_nonzero_constant,
@@ -190,3 +191,91 @@ def test_kernel_of_low_rank_matrix_annihilates():
             assert len(basis) == n - rank >= 2
             for vec in basis:
                 assert all(p.is_zero for p in m.apply(vec))
+
+
+def reference_eliminate(m):
+    """Bareiss elimination over Q(vars) without clearing row denominators:
+    the loop _eliminate ran before rows were scaled to integer coefficients."""
+    a = [list(row) for row in m.entries]
+    order = list(range(m.rows))
+    prev = MultiPoly.one(m.vars)
+    pivot_rows, pivot_cols, sign, r = [], [], 1, 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        pivot = next((i for i in range(r, m.rows) if not a[i][c].is_zero), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            order[r], order[pivot] = order[pivot], order[r]
+            sign = -sign
+        for i in range(r + 1, m.rows):
+            for j in range(c + 1, m.cols):
+                q = (a[i][j] * a[r][c] - a[i][c] * a[r][j]).div_exact(prev)
+                assert q is not None
+                a[i][j] = q
+        prev = a[r][c]
+        pivot_rows.append(order[r])
+        pivot_cols.append(c)
+        r += 1
+    return pivot_rows, pivot_cols, sign, prev
+
+
+def rational_row_matrix(rng, n, dens, nvars=2, max_deg=1):
+    """An n x n polynomial matrix whose row i has coefficients over
+    1/dens[i] (1 keeps the row integral, 2 makes it half-integral)."""
+    base = random_poly_matrix(rng, n, nvars=nvars, max_deg=max_deg)
+    return PolyMatrix(
+        base.vars,
+        [[x * Fraction(rng.choice((1, 3)), d) for x in row] for row, d in zip(base.entries, dens)],
+    )
+
+
+def with_dependent_rows(m, rng):
+    """m with its last two rows replaced by rational combinations of the
+    first two, so the rank drops to at most n - 2."""
+    rows = [list(row) for row in m.entries]
+    for k in (-1, -2):
+        a, b = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(1, 4), 3)
+        rows[k] = [a * p + b * q for p, q in zip(rows[0], rows[1])]
+    return PolyMatrix(m.vars, rows)
+
+
+DENOMINATOR_PATTERNS = ((2, 2, 2, 2, 2), (1, 2, 3, 4, 6), (1, 1, 1, 1, 1), (5, 1, 2, 1, 7))
+
+
+def test_det_bareiss_matches_cofactor_and_leibniz_on_rational_rows():
+    rng = random.Random(31)
+    for dens in DENOMINATOR_PATTERNS:
+        for _ in range(3):
+            m = rational_row_matrix(rng, 5, dens)
+            assert det_bareiss(m) == det_cofactor(m) == leibniz_det(m.entries)
+            singular = with_dependent_rows(m, rng)
+            assert det_bareiss(singular).is_zero and leibniz_det(singular.entries).is_zero
+    # a half-integer quadric net: the shape the septic comes from
+    m = rational_row_matrix(rng, 5, (2,) * 5, nvars=3)
+    assert det_bareiss(m) == leibniz_det(m.entries)
+
+
+def test_row_clearing_keeps_pivots_ranks_and_kernels():
+    rng = random.Random(32)
+    for dens in DENOMINATOR_PATTERNS:
+        for _ in range(3):
+            m = rational_row_matrix(rng, 5, dens)
+            dependent = with_dependent_rows(m, rng)
+            for case in (m, dependent, dependent.submatrix((0, 1, 2, 4), range(5))):
+                rows, cols, sign, last = _eliminate(case)
+                ref_rows, ref_cols, ref_sign, ref_last = reference_eliminate(case)
+                assert (rows, cols, sign) == (ref_rows, ref_cols, ref_sign)
+                assert list(last.terms.items()) == list(ref_last.terms.items())
+                assert last == det_cofactor(case.submatrix(rows, cols))
+                assert rank_over_fraction_field(case) == len(ref_cols)
+                # scaling rows by nonzero rationals changes no kernel
+                factors = [Fraction(rng.choice((-2, 1, 5)), rng.randint(1, 6)) for _ in case.entries]
+                scaled = PolyMatrix(case.vars, [[x * f for x in row] for f, row in zip(factors, case.entries)])
+                basis = kernel_over_fraction_field(case)
+                assert basis == kernel_over_fraction_field(scaled)
+                assert len(basis) == case.cols - len(ref_cols)
+                for vec in basis:
+                    assert all(p.is_zero for p in case.apply(vec))

@@ -112,7 +112,7 @@ def reference_div_exact(a, b):
         qe = tuple(x - y for x, y in zip(lr_e, lb_e))
         if any(x < 0 for x in qe):
             return None
-        qt = MultiPoly.monomial(qe, lr_c / lb_c, a.vars)
+        qt = MultiPoly.monomial(qe, Fraction(lr_c) / lb_c, a.vars)
         quo = quo + qt
         rem = rem - qt * b
     return quo
@@ -158,10 +158,13 @@ def test_div_exact_matches_reference_division(polys):
 
 
 def assert_clean(p):
+    """The stored-term invariant: tuple keys of the ring's length, and every
+    coefficient a nonzero int or a Fraction with denominator > 1."""
     for e, c in p.terms.items():
         assert type(e) is tuple and len(e) == len(p.vars)
         assert all(type(k) is int and k >= 0 for k in e)
-        assert type(c) is Fraction and c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        assert c != 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -171,6 +174,119 @@ def test_results_store_no_zero_coefficients(polys):
     for p in (f + g, f - g, -f, f * g, f**2, f - f, f * b - f * b, (f * b).div_exact(b)):
         assert_clean(p)
     assert (f - f).terms == {}
+
+
+# -- Fraction-only reference arithmetic on {exponent: Fraction} maps ---------
+
+
+def ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(f, g):
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return ref_clean(out)
+
+
+def ref_neg(f):
+    return {e: -c for e, c in f.items()}
+
+
+def ref_mul(f, g):
+    out = {}
+    for ea, ca in f.items():
+        for eb, cb in g.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return ref_clean(out)
+
+
+def ref_pow(f, n, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, f)
+    return out
+
+
+def ref_div(f, g):
+    """Quotient by repeated grlex-leading terms, or None if not exact."""
+    def lead(t):
+        return max(t, key=lambda e: (sum(e), e))
+
+    lb = lead(g)
+    quo, rem = {}, dict(f)
+    while rem:
+        lr = lead(rem)
+        qe = tuple(x - y for x, y in zip(lr, lb))
+        if any(x < 0 for x in qe):
+            return None
+        qc = rem[lr] / g[lb]
+        quo[qe] = qc
+        rem = ref_add(rem, ref_neg(ref_mul({qe: qc}, g)))
+    return quo
+
+
+MIXED_COEFFS = st.one_of(st.integers(-6, 6), RATIONALS)
+
+
+def mixed_term_maps(vars, max_terms=4, max_total_deg=3):
+    """Raw term maps whose coefficients mix ints, integral Fractions and
+    proper Fractions, as a caller may pass them."""
+    expo = st.tuples(*[st.integers(0, max_total_deg) for _ in vars]).filter(
+        lambda e: sum(e) <= max_total_deg
+    )
+    return st.dictionaries(expo, MIXED_COEFFS, max_size=max_terms)
+
+
+def as_reference(p):
+    return {e: Fraction(c) for e, c in p.terms.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RINGS).flatmap(lambda vs: st.tuples(st.just(vs), *(mixed_term_maps(vs) for _ in range(3)))))
+def test_arithmetic_matches_fraction_reference(data):
+    vs, ft, gt, bt = data
+    f, g, b = (MultiPoly(vs, t) for t in (ft, gt, bt))
+    rf, rg, rb = (ref_clean({e: Fraction(c) for e, c in t.items()}) for t in (ft, gt, bt))
+    assert as_reference(f) == rf
+    cases = [
+        (f + g, ref_add(rf, rg)),
+        (f - g, ref_add(rf, ref_neg(rg))),
+        (-f, ref_neg(rf)),
+        (f * g, ref_mul(rf, rg)),
+        (f**3, ref_pow(rf, 3, len(vs))),
+        (f * Fraction(3, 2) + 1, ref_add(ref_mul(rf, {(0,) * len(vs): Fraction(3, 2)}), {(0,) * len(vs): Fraction(1)})),
+    ]
+    if rb:
+        product = f * b
+        cases.append((product.div_exact(b), ref_div(ref_mul(rf, rb), rb)))
+        got, want = g.div_exact(b), ref_div(rg, rb)
+        assert (got is None) == (want is None)
+        if got is not None:
+            cases.append((got, want))
+    for got, want in cases:
+        assert_clean(got)
+        assert as_reference(got) == want
+
+
+def test_scalars_are_canonical_and_queries_return_fractions():
+    p = MultiPoly(RING, {(1, 0, 0): Fraction(4, 2), (0, 1, 0): Fraction(1, 3), (0, 0, 0): True})
+    assert p.terms == {(1, 0, 0): 2, (0, 1, 0): Fraction(1, 3), (0, 0, 0): 1}
+    assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
+    assert type(p.coefficient((1, 0, 0))) is Fraction
+    assert type(p.coefficient((0, 0, 5))) is Fraction
+    assert type(MultiPoly.constant(Fraction(6, 3), RING).constant_value()) is Fraction
+    assert 1 / MultiPoly.constant(4, ()).constant_value() == Fraction(1, 4)
+    assert (Fraction(1, 2) * x * 2).terms == {(1, 0, 0): 1}
+    assert type(x.terms[(1, 0, 0)]) is int
+    assert (Fraction(3, 2) * x**2).derivative("x").terms == {(1, 0, 0): 3}
+    assert (4 * x + 2).div_exact(MultiPoly.constant(4, RING)).terms == {(1, 0, 0): 1, (0, 0, 0): Fraction(1, 2)}
+    assert (Fraction(2, 3) * x).primitive().terms == {(1, 0, 0): 1}
+    for bad in (0.5, 1.0, "1", None):
+        with pytest.raises(TypeError):
+            MultiPoly.constant(bad, RING)
 
 
 def test_cancellation_leaves_no_terms():

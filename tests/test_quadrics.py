@@ -24,6 +24,7 @@ from fanocalc.quadrics import (
     septic_split,
     vertex_curve,
 )
+from fanocalc.scenarios import load_golden
 
 
 def test_pencil_ranks_and_vertices():
@@ -36,6 +37,16 @@ def test_pencil_ranks_and_vertices():
     v_b = pen.b.vertex()
     assert [i for i, p in enumerate(v_a) if not p.is_zero] == [P6_INDEX["x13"]]
     assert [i for i, p in enumerate(v_b) if not p.is_zero] == [P6_INDEX["x24"]]
+
+
+def test_vertex_index_pins_match_the_derived_vertices():
+    # the golden pins name the coordinate point each quadric is singular at;
+    # no scenario step reads them, so they are re-derived here
+    golden = load_golden()
+    pen = pfaffian_pencil_canonical()
+    for form, claim in ((pen.a, "quadrics.vertex_P_o_index"), (pen.b, "quadrics.vertex_P_inf_index")):
+        support = [P6_COORDS[i] for i, p in enumerate(form.vertex()) if not p.is_zero]
+        assert support == [golden[claim]]
 
 
 def test_pencil_certificate():

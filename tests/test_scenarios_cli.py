@@ -232,6 +232,69 @@ def test_malformed_input_descriptor_is_a_usage_error(scenario, content, tmp_path
     assert captured.err.count("\n") == 1
 
 
+#: Golden claims that no report-all step compares and no scenario reads, each
+#: with the Tier-1 test that checks it instead.
+UNSTEPPED_CLAIMS = {
+    "quadrics.vertex_P_o_index": "test_quadrics.py::test_vertex_index_pins_match_the_derived_vertices",
+    "quadrics.vertex_P_inf_index": "test_quadrics.py::test_vertex_index_pins_match_the_derived_vertices",
+}
+
+
+class _RecordingClaims(dict):
+    """A claim store that remembers which claims were looked up."""
+
+    def __init__(self, claims):
+        super().__init__(claims)
+        self.read = set()
+
+    def __getitem__(self, claim):
+        self.read.add(claim)
+        return super().__getitem__(claim)
+
+
+def test_every_golden_claim_is_stepped_read_or_allow_listed():
+    golden = _RecordingClaims(load_golden())
+    ctx = Context(seed=0, samples=2, golden=golden)
+    stepped = {step.claim for name, _ in catalog() for step in run_scenario(name, ctx).steps}
+    unchecked = set(golden) - stepped - golden.read
+    for claim in sorted(UNSTEPPED_CLAIMS):
+        print(f"allow-listed golden claim {claim}: checked by {UNSTEPPED_CLAIMS[claim]}")
+    assert unchecked == set(UNSTEPPED_CLAIMS)
+
+
+def _without_deg_g():
+    claims = dict(load_golden())
+    del claims["schubert.deg_G"]
+    return json.dumps({"version": 1, "claims": claims})
+
+
+@pytest.mark.parametrize("route", ["flag", "env"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read golden file"),
+        ("{not json", "cannot read golden file"),
+        ("{}", 'has no "claims" object'),
+        (_without_deg_g, "claim 'schubert.deg_G' missing from the golden store"),
+    ],
+    ids=["missing-file", "bad-json", "no-claims", "missing-claim"],
+)
+def test_malformed_golden_file_is_a_usage_error(content, message, route, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "golden.json"
+    if content is not None:
+        path.write_text(content() if callable(content) else content)
+    if route == "flag":
+        argv = ["run", "schubert-table", "--golden", str(path)]
+    else:
+        monkeypatch.setenv("FANO10_GOLDEN_PATH", str(path))
+        argv = ["run", "schubert-table"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_pipeline_mismatch_is_a_failed_step(tmp_path, capsys):
     tampered = dict(load_golden())
     tampered["line.deg_Y"] = 11
