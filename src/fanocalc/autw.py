@@ -20,6 +20,14 @@ b != 0 of det(G) = 1).
 Because +-G give the same Symm2 block, (lam, U, G) and (-lam, -U, -G)
 induce the same projective action; equality of group elements is therefore
 tested on the induced action, not on the parameter triple.
+
+A numeric element holds plain rationals (canonical ints and Fractions) and a
+symbolic one holds MultiPolys of one ring.  The group law, the
+decomposition, the inverse, the wedge square and the equality test run one
+code path on both kinds, through ``+ - *`` and the ring-element functions of
+``polynomials`` (``is_zero``, ``div_exact``, ``plain``, ``ring_of``).  Their
+5 x 5 and 10 x 10 matrices are tuples of row tuples; a caller that needs
+``==``, ``*`` or ``.apply`` wraps one as ``PolyMatrix(ring, rows)``.
 """
 
 from __future__ import annotations
@@ -40,25 +48,20 @@ from .grassmann import (
     w_membership,
 )
 from .matrices import PolyMatrix
-from .polynomials import MultiPoly, normalize_projective, projectively_equal
+from .polynomials import (
+    MultiPoly,
+    div_exact,
+    is_zero,
+    normalize_projective,
+    plain,
+    projectively_equal,
+    ring_of,
+    to_ring,
+)
 
 SL2_RING = ("a", "b", "c", "d")
 
-
-def _common_ring(*values) -> tuple[str, ...]:
-    rings = {v.vars for v in values if isinstance(v, MultiPoly) and not v.is_constant}
-    if len(rings) > 1:
-        raise ValueError(f"mixed rings: {rings}")
-    return next(iter(rings)) if rings else ()
-
-
-def _lift_all(values, vars):
-    return [
-        (v.lift(vars) if v.vars != vars else v)
-        if isinstance(v, MultiPoly)
-        else MultiPoly.constant(v, vars)
-        for v in values
-    ]
+Rows = tuple[tuple, ...]
 
 
 def subst_linear(poly: MultiPoly, var: str, num: MultiPoly, den: MultiPoly) -> MultiPoly:
@@ -100,7 +103,7 @@ def vanishes_mod_sl2(poly: MultiPoly) -> bool:
     return chart1.is_zero and chart2.is_zero
 
 
-def symm2(g: Sequence[Sequence]) -> list[list[MultiPoly]]:
+def symm2(g: Sequence[Sequence]) -> list[list]:
     """The displayed 3 x 3 symmetric-square block of a 2 x 2 matrix."""
     (a, b), (c, d) = g
     return [
@@ -110,41 +113,48 @@ def symm2(g: Sequence[Sequence]) -> list[list[MultiPoly]]:
     ]
 
 
+def _matmul(a: Rows, b: Rows) -> Rows:
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
 @dataclass(frozen=True)
 class AutWElement:
-    """Group element (lam, U, G); entries may be symbolic polynomials.
+    """Group element (lam, U, G): plain rationals in a numeric element,
+    MultiPolys of one ring in a symbolic one.
 
-    `relation`, when set, is a polynomial (always ad - bc - 1 here) modulo
-    which the defining identities hold; validation reduces on both charts.
+    `symbolic_det`, when set, says that det G = 1 holds only modulo
+    ad - bc - 1; validation then reduces on both SL2 charts.
     """
 
-    lam: MultiPoly
-    u: tuple[tuple[MultiPoly, MultiPoly], ...]  # 3 rows x 2 cols
-    g: tuple[tuple[MultiPoly, MultiPoly], ...]  # 2 rows x 2 cols
+    lam: object
+    u: tuple[tuple[object, object], ...]  # 3 rows x 2 cols
+    g: tuple[tuple[object, object], ...]  # 2 rows x 2 cols
     symbolic_det: bool = False
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def unchecked(cls, lam, u, g, symbolic_det: bool = False) -> "AutWElement":
-        ring = _common_ring(
-            *( [lam] + [x for row in u for x in row] + [x for row in g for x in row] )
-        )
-        lamp = _lift_all([lam], ring)[0]
-        up = tuple(tuple(_lift_all(row, ring)) for row in u)
-        gp = tuple(tuple(_lift_all(row, ring)) for row in g)
-        if len(up) != 3 or any(len(r) != 2 for r in up):
+        if len(u) != 3 or any(len(r) != 2 for r in u):
             raise DomainError("U must be 3 x 2")
-        if len(gp) != 2 or any(len(r) != 2 for r in gp):
+        if len(g) != 2 or any(len(r) != 2 for r in g):
             raise DomainError("G must be 2 x 2")
-        return cls(lamp, up, gp, symbolic_det)
+        values = [lam, *u[0], *u[1], *u[2], *g[0], *g[1]]
+        ring = ring_of(values)
+        lam, *x = to_ring(values, ring) if ring else [plain(v) for v in values]
+        u = ((x[0], x[1]), (x[2], x[3]), (x[4], x[5]))
+        g = ((x[6], x[7]), (x[8], x[9]))
+        return cls(lam, u, g, symbolic_det)
 
-    def _vanishes(self, poly: MultiPoly) -> bool:
+    def _vanishes(self, poly) -> bool:
         if self.symbolic_det:
             return vanishes_mod_sl2(poly)
-        return poly.is_zero
+        return is_zero(poly)
 
-    def constraint_values(self) -> tuple[MultiPoly, MultiPoly]:
+    def constraint_values(self) -> tuple:
         (a, b), (c, d) = self.g
         u = self.u
         c1 = b * u[0][0] - a * u[0][1] - d * u[1][0] + c * u[1][1]
@@ -156,7 +166,7 @@ class AutWElement:
         det = a * d - b * c
         if not self._vanishes(det - 1):
             raise ConstraintError(f"det G = {det} != 1")
-        if self.lam.is_zero:
+        if is_zero(self.lam):
             raise ConstraintError("lam = 0 is not a group element")
         c1, c2 = self.constraint_values()
         if not self._vanishes(c1):
@@ -170,25 +180,21 @@ class AutWElement:
 
     # -- matrices -----------------------------------------------------------
 
-    def matrix5(self) -> PolyMatrix:
-        ring = self.lam.vars
+    def matrix5(self) -> Rows:
         s = symm2(self.g)
-        zero = MultiPoly.zero(ring)
-        rows = []
-        for i in range(3):
-            rows.append([self.lam * s[i][j] for j in range(3)] + list(self.u[i]))
-        rows.append([zero, zero, zero, self.g[0][0], self.g[0][1]])
-        rows.append([zero, zero, zero, self.g[1][0], self.g[1][1]])
-        return PolyMatrix(ring, rows)
+        (g00, g01), (g10, g11) = self.g
+        return tuple(
+            tuple(self.lam * x for x in s[i]) + self.u[i] for i in range(3)
+        ) + ((0, 0, 0, g00, g01), (0, 0, 0, g10, g11))
 
-    def wedge_matrix(self) -> PolyMatrix:
+    def wedge_matrix(self) -> Rows:
         return wedge_square_matrix(self.matrix5())
 
     def to_json(self) -> dict:
         from .serialize import fraction_to_json
 
-        def num(p: MultiPoly) -> str:
-            return fraction_to_json(p.constant_value())
+        def num(x) -> str:
+            return fraction_to_json(plain(x))
 
         (a, b), (c, d) = self.g
         return {
@@ -217,31 +223,13 @@ def assemble(lam, u, g, symbolic_det: bool = False) -> AutWElement:
     return el
 
 
-def identity_element() -> AutWElement:
-    return assemble(1, [[0, 0], [0, 0], [0, 0]], [[1, 0], [0, 1]])
-
-
 def ga_element(u, v, x, y) -> AutWElement:
     """Unipotent element [u | v | x | y]."""
-    ring = _common_ring(*_lift_all([u, v, x, y], _common_ring(u, v, x, y)))
-    uu, vv, xx, yy = _lift_all([u, v, x, y], ring)
-    one = MultiPoly.one(ring)
-    zero = MultiPoly.zero(ring)
-    return assemble(
-        one,
-        [[-uu, -vv], [vv, xx], [yy, uu]],
-        [[one, zero], [zero, one]],
-    )
-
-
-def gm_element(lam) -> AutWElement:
-    return assemble(lam, [[0, 0], [0, 0], [0, 0]], [[1, 0], [0, 1]])
+    return assemble(1, [[-u, -v], [v, x], [y, u]], [[1, 0], [0, 1]])
 
 
 def pgl_element(g, symbolic_det: bool = False) -> AutWElement:
-    ring = _common_ring(*[x for row in g for x in row])
-    one = MultiPoly.one(ring)
-    return assemble(one, [[0, 0], [0, 0], [0, 0]], g, symbolic_det)
+    return assemble(1, [[0, 0], [0, 0], [0, 0]], g, symbolic_det)
 
 
 def symbolic_family() -> AutWElement:
@@ -265,32 +253,21 @@ def symbolic_family() -> AutWElement:
 # -- wedge-square action -----------------------------------------------------
 
 
-def wedge_square_matrix(a: PolyMatrix) -> PolyMatrix:
+def wedge_square_matrix(a: Rows) -> Rows:
     """10 x 10 matrix of the induced map on wedge coordinates:
     e_ij -> sum over k < l of (a_ki a_lj - a_li a_kj) e_kl."""
-    if a.rows != 5 or a.cols != 5:
+    if len(a) != 5 or any(len(row) != 5 for row in a):
         raise DomainError("wedge square of a non-5x5 matrix")
-    e = a.entries
-    grid = []
-    for (k, l) in WEDGE_PAIRS:
-        row = []
-        for (i, j) in WEDGE_PAIRS:
-            row.append(e[k][i] * e[l][j] - e[l][i] * e[k][j])
-        grid.append(row)
-    return PolyMatrix(a.vars, grid)
+    return tuple(
+        tuple(a[k][i] * a[l][j] - a[l][i] * a[k][j] for (i, j) in WEDGE_PAIRS)
+        for (k, l) in WEDGE_PAIRS
+    )
 
 
 def wedge_square_action_raw(g: AutWElement, p: WedgePoint) -> WedgePoint:
     """Image of p under the wedge square of g, coefficients as computed."""
-    w = g.wedge_matrix()
-    ring = _common_ring(*(list(p.coords) + [x for row in w.entries for x in row]))
-    coords = _lift_all(p.coords, ring)
-    entries = [_lift_all(row, ring) for row in w.entries]
-    zero = MultiPoly.zero(ring)
-    image = [
-        sum((entries[i][j] * coords[j] for j in range(10)), zero) for i in range(10)
-    ]
-    return WedgePoint(tuple(image))
+    coords = p.coords if ring_of(p.coords) else [plain(c) for c in p.coords]
+    return WedgePoint.make([sum(x * c for x, c in zip(row, coords)) for row in g.wedge_matrix()])
 
 
 def wedge_square_action(g: AutWElement, p: WedgePoint) -> WedgePoint:
@@ -302,14 +279,13 @@ def p7_defect(g: AutWElement) -> tuple[MultiPoly, ...]:
     """The 16 polynomials whose vanishing says the wedge square of g maps the
     7-space to itself (two linear conditions on the image of each of the 8
     basis vectors)."""
-    w = g.wedge_matrix()
-    ring = w.vars
-    zero = MultiPoly.zero(ring)
+    rows = g.wedge_matrix()
+    w = PolyMatrix(ring_of(x for row in rows for x in row), rows)
     out = []
     for support in P7_BASIS_SUPPORTS:
-        vec = [zero] * 10
+        vec = [0] * 10
         for pair in support:
-            vec[WEDGE_INDEX[pair]] = MultiPoly.one(ring)
+            vec[WEDGE_INDEX[pair]] = 1
         img = w.apply(vec)
         out.append(img[WEDGE_INDEX[(0, 3)]] - img[WEDGE_INDEX[(1, 4)]])
         out.append(img[WEDGE_INDEX[(0, 4)]] - img[WEDGE_INDEX[(2, 3)]])
@@ -331,52 +307,43 @@ def group_closure_check(g1: AutWElement, g2: AutWElement) -> AutWElement:
     Raises ClosureError if the product leaves the family; that firing is a
     bug in the caller's inputs (the family is a group), never expected.
     """
-    m = g1.matrix5() * g2.matrix5()
+    m = _matmul(g1.matrix5(), g2.matrix5())
     symbolic = g1.symbolic_det or g2.symbolic_det
     return decompose_matrix(m, symbolic_det=symbolic)
 
 
-def decompose_matrix(m: PolyMatrix, symbolic_det: bool = False) -> AutWElement:
-    if m.rows != 5 or m.cols != 5:
+def decompose_matrix(m: Rows, symbolic_det: bool = False) -> AutWElement:
+    if len(m) != 5 or any(len(row) != 5 for row in m):
         raise ClosureError("not a 5 x 5 matrix")
-    for i in (3, 4):
-        for j in (0, 1, 2):
-            if not m.entries[i][j].is_zero:
-                raise ClosureError("lower-left block is not zero")
-    g = [[m.entries[3][3], m.entries[3][4]], [m.entries[4][3], m.entries[4][4]]]
+    if not all(is_zero(m[i][j]) for i in (3, 4) for j in (0, 1, 2)):
+        raise ClosureError("lower-left block is not zero")
+    vanishes = vanishes_mod_sl2 if symbolic_det else is_zero
+    g = [[m[3][3], m[3][4]], [m[4][3], m[4][4]]]
     det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    scale = MultiPoly.one(m.vars)
-    if not (det - 1).is_zero:
+    scale = 1
+    if not vanishes(det - 1):
         # try to rescale the whole matrix so that det G becomes 1
-        if not det.is_constant:
-            raise ClosureError(f"det G = {det} is not constant")
-        val = det.constant_value()
-        if val <= 0:
+        try:
+            val = plain(det)
+        except ValueError:
+            raise ClosureError(f"det G = {det} is not constant") from None
+        root = _rational_sqrt(val)
+        if not root:
             raise ClosureError(f"det G = {val} has no rational square root")
-        num, den = val.numerator, val.denominator
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if rn * rn != num or rd * rd != den:
-            raise ClosureError(f"det G = {val} has no rational square root")
-        scale = MultiPoly.constant(Fraction(rd, rn), m.vars)
+        scale = 1 / root
         g = [[x * scale for x in row] for row in g]
-    u = tuple(
-        (m.entries[i][3] * scale, m.entries[i][4] * scale) for i in range(3)
-    )
+    u = tuple((m[i][3] * scale, m[i][4] * scale) for i in range(3))
     s = symm2(g)
     lam = None
     for i in range(3):
         for j in range(3):
-            if lam is None and not s[i][j].is_zero:
-                x = (m.entries[i][j] * scale).div_exact(s[i][j])
-                if x is not None:
-                    lam = x
+            if lam is None and not is_zero(s[i][j]):
+                lam = div_exact(m[i][j] * scale, s[i][j])
     if lam is None:
         raise ClosureError("cannot determine lam from the Symm2 block")
     for i in range(3):
         for j in range(3):
-            defect = m.entries[i][j] * scale - lam * s[i][j]
-            ok = vanishes_mod_sl2(defect) if symbolic_det else defect.is_zero
-            if not ok:
+            if not vanishes(m[i][j] * scale - lam * s[i][j]):
                 raise ClosureError("upper-left block is not lam * Symm2(G)")
     try:
         return assemble(lam, u, g, symbolic_det)
@@ -387,30 +354,14 @@ def decompose_matrix(m: PolyMatrix, symbolic_det: bool = False) -> AutWElement:
 def inverse(g: AutWElement) -> AutWElement:
     """Block inverse: (1/lam, -(1/lam) Symm2(G^-1) U G^-1, G^-1)."""
     (a, b), (c, d) = g.g
-    det = a * d - b * c
-    if not g.symbolic_det and not (det - 1).is_zero:
+    if not g.symbolic_det and not is_zero(a * d - b * c - 1):
         raise ConstraintError("inverse requires det G = 1")
-    ginv = [[d, -b], [-c, a]]
-    lam_val = g.lam.constant_value()
-    lam_inv = MultiPoly.constant(1 / lam_val, g.lam.vars)
-    s_inv = symm2(ginv)
+    ginv = ((d, -b), (-c, a))
+    lam_inv = div_exact(1, plain(g.lam))
     # X^{-1} U G^{-1} with X = lam Symm2(G), X^{-1} = lam^{-1} Symm2(G^{-1})
-    su = [
-        [
-            sum((s_inv[i][k] * g.u[k][j] for k in range(3)), MultiPoly.zero(g.lam.vars))
-            for j in range(2)
-        ]
-        for i in range(3)
-    ]
-    sug = [
-        [
-            su[i][0] * ginv[0][j] + su[i][1] * ginv[1][j]
-            for j in range(2)
-        ]
-        for i in range(3)
-    ]
-    u_inv = [[-(lam_inv * sug[i][j]) for j in range(2)] for i in range(3)]
-    return assemble(lam_inv, u_inv, ginv)
+    sug = _matmul(_matmul(symm2(ginv), g.u), ginv)
+    u_inv = [[-(lam_inv * x) for x in row] for row in sug]
+    return assemble(lam_inv, u_inv, ginv, g.symbolic_det)
 
 
 def elements_equal(g1: AutWElement, g2: AutWElement) -> bool:
@@ -420,8 +371,8 @@ def elements_equal(g1: AutWElement, g2: AutWElement) -> bool:
     the wedge squares are proportional iff A and B are (if every e_i ^ e_j
     is an eigenvector of the wedge square of A B^-1, that matrix is scalar).
     """
-    flat1 = [x for row in g1.matrix5().entries for x in row]
-    flat2 = [x for row in g2.matrix5().entries for x in row]
+    flat1 = [x for row in g1.matrix5() for x in row]
+    flat2 = [x for row in g2.matrix5() for x in row]
     return projectively_equal(flat1, flat2)
 
 
@@ -441,21 +392,18 @@ def orbit_formula(u, v, x, y) -> WedgePoint:
     (v^2 - ux) e01 + (vy - u^2) e02 + (uv - xy) e12 + v (e03 + e14)
     - u (e04 + e23) - x e13 + y e24 + e34.
     """
-    ring = _common_ring(*_lift_all([u, v, x, y], _common_ring(u, v, x, y)))
-    uu, vv, xx, yy = _lift_all([u, v, x, y], ring)
-    one = MultiPoly.one(ring)
     return WedgePoint.from_pairs(
         {
-            (0, 1): vv * vv - uu * xx,
-            (0, 2): vv * yy - uu * uu,
-            (1, 2): uu * vv - xx * yy,
-            (0, 3): vv,
-            (1, 4): vv,
-            (0, 4): -uu,
-            (2, 3): -uu,
-            (1, 3): -xx,
-            (2, 4): yy,
-            (3, 4): one,
+            (0, 1): v * v - u * x,
+            (0, 2): v * y - u * u,
+            (1, 2): u * v - x * y,
+            (0, 3): v,
+            (1, 4): v,
+            (0, 4): -u,
+            (2, 3): -u,
+            (1, 3): -x,
+            (2, 4): y,
+            (3, 4): 1,
         }
     )
 
@@ -610,15 +558,15 @@ def orbit_transitivity_witness(p: WedgePoint, q: WedgePoint) -> Optional[AutWEle
 # -- sampling -----------------------------------------------------------------
 
 
-def random_sl2(rng, size: int = 3) -> list[list[Fraction]]:
+def random_sl2(rng, size: int = 3) -> list[list[int]]:
     """A random determinant-one integer matrix (product of elementary ones)."""
-    m = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    m = [[1, 0], [0, 1]]
     for _ in range(size):
-        r = Fraction(rng.randint(-3, 3))
+        r = rng.randint(-3, 3)
         if rng.random() < 0.5:
-            e = [[Fraction(1), r], [Fraction(0), Fraction(1)]]
+            e = [[1, r], [0, 1]]
         else:
-            e = [[Fraction(1), Fraction(0)], [r, Fraction(1)]]
+            e = [[1, 0], [r, 1]]
         m = [
             [
                 m[0][0] * e[0][0] + m[0][1] * e[1][0],
@@ -640,7 +588,7 @@ def random_element(rng) -> AutWElement:
     """
     g = random_sl2(rng)
     lam = Fraction(rng.choice([1, 2, 3, -1, -2, 5]), rng.choice([1, 2, 3]))
-    u, v, x, y = (Fraction(rng.randint(-4, 4)) for _ in range(4))
+    u, v, x, y = (rng.randint(-4, 4) for _ in range(4))
     t = [[-u, -v], [v, x], [y, u]]
     tg = [
         [t[i][0] * g[0][j] + t[i][1] * g[1][j] for j in range(2)]

@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .errors import DegeneracyError, DomainError
 from .matrices import PolyMatrix, is_nonzero_constant, kernel_over_fraction_field, minor_gcd, rank_over_fraction_field
-from .polynomials import MultiPoly, Scalar, normalize_projective, projectively_equal
+from .polynomials import MultiPoly, Scalar, normalize_projective, projectively_equal, ring_of, to_ring
 
 #: wedge basis order: e01, e02, e03, e04, e12, e13, e14, e23, e24, e34
 WEDGE_PAIRS: tuple[tuple[int, int], ...] = tuple(
@@ -54,25 +54,6 @@ P7_BASIS_SUPPORTS: tuple[tuple[tuple[int, int], ...], ...] = (
 RHO_PLANE_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _unify_ring(values: Sequence) -> tuple[str, ...]:
-    rings = {v.vars for v in values if isinstance(v, MultiPoly) and not v.is_constant}
-    if len(rings) > 1:
-        raise ValueError(f"mixed rings {rings}")
-    if rings:
-        return next(iter(rings))
-    return ()
-
-
-def _as_polys(values: Sequence, vars: tuple[str, ...]) -> tuple[MultiPoly, ...]:
-    out = []
-    for v in values:
-        if isinstance(v, MultiPoly):
-            out.append(v.lift(vars) if v.vars != vars else v)
-        else:
-            out.append(MultiPoly.constant(v, vars))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class WedgePoint:
     """A point of P^9 in wedge coordinates (possibly with symbolic entries)."""
@@ -87,19 +68,18 @@ class WedgePoint:
 
     @classmethod
     def make(cls, values: Sequence) -> "WedgePoint":
-        vs = _unify_ring(values)
-        return cls(_as_polys(values, vs))
+        return cls(tuple(to_ring(values)))
 
     @classmethod
     def basis_vector(cls, i: int, j: int) -> "WedgePoint":
-        coords = [Fraction(0)] * 10
-        coords[WEDGE_INDEX[(i, j)]] = Fraction(1)
+        coords = [0] * 10
+        coords[WEDGE_INDEX[(i, j)]] = 1
         return cls.make(coords)
 
     @classmethod
     def from_pairs(cls, data: dict[tuple[int, int], Scalar | MultiPoly]) -> "WedgePoint":
         """Build from a sparse {(i, j): value} map; (j, i) keys flip sign."""
-        coords: list = [Fraction(0)] * 10
+        coords: list = [0] * 10
         for (i, j), val in data.items():
             if i < j:
                 coords[WEDGE_INDEX[(i, j)]] = coords[WEDGE_INDEX[(i, j)]] + val
@@ -146,9 +126,8 @@ def plucker_embed(u: Sequence, v: Sequence) -> WedgePoint:
     """Wedge of two P^4 points: p_ij = u_i v_j - u_j v_i."""
     if len(u) != 5 or len(v) != 5:
         raise DomainError("points of P^4 have 5 coordinates")
-    vs = _unify_ring(tuple(u) + tuple(v))
-    uu = _as_polys(u, vs)
-    vv = _as_polys(v, vs)
+    uv = to_ring(tuple(u) + tuple(v))
+    uu, vv = uv[:5], uv[5:]
     coords = [uu[i] * vv[j] - uu[j] * vv[i] for (i, j) in WEDGE_PAIRS]
     if all(c.is_zero for c in coords):
         raise DegeneracyError("input vectors span no plane (proportional)")
@@ -329,19 +308,11 @@ class PlaneOnW:
     def wedge_points(self, weights: Sequence) -> WedgePoint:
         """A point of the plane's wedge image with the given span weights."""
         if self.kind == "rho":
-            basis = [WedgePoint.basis_vector(i, j) for (i, j) in RHO_PLANE_PAIRS]
-            vs = _unify_ring(list(weights))
-            coords = [MultiPoly.zero(vs)] * 10
-            for w, b in zip(weights, basis):
-                coords = [c + w * bc for c, bc in zip(coords, b.coords)]
-            return WedgePoint.make(coords)
-        vecs = self.hyperplane
-        vs = _unify_ring(list(weights) + [c for v in vecs for c in v] + list(self.center))
-        total = [MultiPoly.zero(vs)] * 5
-        for w, vec in zip(weights, vecs):
-            w = w if isinstance(w, MultiPoly) else MultiPoly.constant(w, vs)
-            total = [t + w.lift(vs) * c.lift(vs) for t, c in zip(total, _as_polys(vec, vs))]
-        return plucker_embed(_as_polys(self.center, vs), total)
+            return WedgePoint.from_pairs(dict(zip(RHO_PLANE_PAIRS, weights)))
+        total = [0] * 5
+        for w, vec in zip(weights, self.hyperplane):
+            total = [t + w * c for t, c in zip(total, vec)]
+        return plucker_embed(self.center, total)
 
 
 def rho_plane() -> PlaneOnW:
@@ -354,9 +325,7 @@ def sigma_center(t0, t1) -> tuple[MultiPoly, ...]:
     These are exactly the points x of <e0, e1, e2> for which the wedges
     x ^ P^3 land inside both hyperplanes of W.
     """
-    vals = [t0 * t1, t1 * t1, t0 * t0, 0, 0]
-    vs = _unify_ring(vals)
-    return _as_polys(vals, vs)
+    return tuple(to_ring([t0 * t1, t1 * t1, t0 * t0, 0, 0]))
 
 
 def sigma_plane(t0: Scalar | MultiPoly, t1: Scalar | MultiPoly | None = None) -> PlaneOnW:
@@ -370,8 +339,8 @@ def sigma_plane(t0: Scalar | MultiPoly, t1: Scalar | MultiPoly | None = None) ->
     """
     if t1 is None:
         t0, t1 = 1, t0
-    vs = _unify_ring([t0, t1])
-    t0p, t1p = _as_polys([t0, t1], vs)
+    vs = ring_of([t0, t1])
+    t0p, t1p = to_ring([t0, t1], vs)
     if t0p.is_zero and t1p.is_zero:
         raise DomainError("(0 : 0) is not a point of the parameter line")
     center = sigma_center(t0p, t1p)

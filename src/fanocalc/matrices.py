@@ -17,31 +17,21 @@ from math import lcm, prod
 from typing import Callable, Sequence
 
 from .errors import DimensionError
-from .polynomials import MultiPoly, poly_gcd_list, normalize_projective
-
-
-def _as_poly(value, vars: Sequence[str]) -> MultiPoly:
-    if isinstance(value, MultiPoly):
-        return value.lift(vars) if value.is_constant and value.vars != tuple(vars) else value
-    return MultiPoly.constant(value, vars)
+from .polynomials import MultiPoly, normalize_projective, poly_gcd_list, to_ring
 
 
 class PolyMatrix:
-    """Immutable rectangular matrix of MultiPoly entries over one ring."""
+    """Immutable rectangular matrix of MultiPoly entries over one ring.
+
+    Entries are brought into the ring by ``polynomials.to_ring``."""
 
     __slots__ = ("rows", "cols", "vars", "entries")
 
     def __init__(self, vars: Sequence[str], entries: Sequence[Sequence]):
         vs = tuple(vars)
-        grid = tuple(
-            tuple(_as_poly(x, vs) for x in row) for row in entries
-        )
+        grid = tuple(tuple(to_ring(row, vs)) for row in entries)
         if grid and any(len(row) != len(grid[0]) for row in grid):
             raise DimensionError("ragged rows")
-        for row in grid:
-            for x in row:
-                if x.vars != vs and not x.is_constant:
-                    raise ValueError("entry ring mismatch")
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", len(grid[0]) if grid else 0)
@@ -49,11 +39,6 @@ class PolyMatrix:
 
     def __setattr__(self, *_args):
         raise AttributeError("PolyMatrix is immutable")
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, vars: Sequence[str] = ()) -> "PolyMatrix":
-        z = MultiPoly.zero(vars)
-        return cls(vars, [[z] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int, vars: Sequence[str] = ()) -> "PolyMatrix":
@@ -133,7 +118,7 @@ class PolyMatrix:
         )
 
     def apply(self, vector: Sequence) -> tuple[MultiPoly, ...]:
-        vec = [_as_poly(v, self.vars) for v in vector]
+        vec = to_ring(vector, self.vars)
         if len(vec) != self.cols:
             raise DimensionError("vector length mismatch")
         return tuple(

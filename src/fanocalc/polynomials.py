@@ -25,6 +25,19 @@ Exact division is heap-ordered (Monagan & Pearce, "Polynomial division using
 dynamic arrays, heaps, and packed exponent vectors", CASC 2007): the
 remainder is a mutable dict whose exponents sit in a heap, so each step pops
 the grlex-leading term instead of rebuilding the remainder and searching it.
+
+A ring element is a plain rational (an ``int`` or a ``Fraction``) or a
+``MultiPoly``.  A plain rational is a constant of every ring, so ``+``, ``-``
+and ``*`` already mix the two kinds.  The module functions ``is_zero``,
+``div_exact``, ``plain`` and ``ring_of`` spell the remaining operations once
+for both, so the same code runs over Q and over Q[vars].
+
+How a plain rational or a constant of another ring meets a polynomial is
+decided here only: by ``MultiPoly._pair`` for one pair of operands and by
+``to_ring`` for a sequence.  The one non-constant ring wins, every constant
+moves into it, and two different non-constant rings are a ``ValueError``.
+(Among constants only, ``_pair`` keeps the left operand's ring and
+``to_ring`` takes ().)
 """
 
 from __future__ import annotations
@@ -561,7 +574,7 @@ def _gcd_rec(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         if r.is_zero:
             a, b = b, r
             break
-        a, b = b, r.div_exact(content_in(r))
+        a, b = b, r.div_exact(content_in(r)).primitive()
     prim = a.div_exact(content_in(a))
     assert prim is not None
     return _gcd_rec(cf, cg) * prim
@@ -604,21 +617,64 @@ def normalize_projective(coords: Sequence[MultiPoly]) -> tuple[MultiPoly, ...]:
     return tuple(scaled)
 
 
-def projectively_equal(
-    a: Sequence[MultiPoly], b: Sequence[MultiPoly]
-) -> bool:
-    """True iff a = c*b for some nonzero rational c (componentwise polys)."""
+def projectively_equal(a: Sequence, b: Sequence) -> bool:
+    """True iff a = c*b for some nonzero rational c (componentwise ring elements)."""
     if len(a) != len(b):
         return False
-    ref = next((i for i, p in enumerate(a) if not p.is_zero), None)
-    if ref is None or all(p.is_zero for p in b):
-        return False
-    if b[ref].is_zero:
+    ref = next((i for i, p in enumerate(a) if not is_zero(p)), None)
+    if ref is None or is_zero(b[ref]):
         return False
     # cross-product test anchored at the reference entry: a[ref] b[j] = b[ref] a[j]
-    for j in range(len(a)):
-        if j == ref:
-            continue
-        if not (a[ref] * b[j] - b[ref] * a[j]).is_zero:
-            return False
-    return True
+    return all(is_zero(a[ref] * b[j] - b[ref] * a[j]) for j in range(len(a)) if j != ref)
+
+
+# -- ring elements ----------------------------------------------------------
+
+
+def is_zero(x) -> bool:
+    return x.is_zero if type(x) is MultiPoly else not x
+
+
+def plain(x) -> Scalar:
+    """The canonical int or Fraction equal to a constant ring element."""
+    return _scalar(x.constant_value() if type(x) is MultiPoly else x)
+
+
+def div_exact(a, b):
+    """The ring element q with a == q * b, or None when b does not divide a."""
+    if type(a) is MultiPoly:
+        return a.div_exact(b)
+    if type(b) is MultiPoly:
+        return MultiPoly.constant(a, b.vars).div_exact(b)
+    return _quotient(a, b)
+
+
+def ring_of(values: Iterable) -> tuple[str, ...]:
+    """The ring of the non-constant MultiPolys among values, () if there is
+    none; two different rings are a ValueError."""
+    rings = {v.vars for v in values if type(v) is MultiPoly and v.vars and not v.is_constant}
+    if len(rings) > 1:
+        raise ValueError(f"ring mismatch: {sorted(rings)}")
+    return rings.pop() if rings else ()
+
+
+def to_ring(values: Iterable, vars: Sequence[str] | None = None) -> list[MultiPoly]:
+    """Each value as a MultiPoly of one ring: vars when given, else
+    ring_of(values).
+
+    Plain rationals and constants of any ring become constants of it; a
+    MultiPoly already in it is returned as it is.  A non-constant of another
+    ring is a ValueError.
+    """
+    values = list(values)
+    ring = ring_of(values) if vars is None else tuple(vars)
+    out = []
+    for v in values:
+        if type(v) is not MultiPoly:
+            v = MultiPoly.constant(v, ring)
+        elif v.vars != ring:
+            if not v.is_constant:
+                raise ValueError(f"ring mismatch: {v.vars} vs {ring}")
+            v = MultiPoly.constant(v.constant_value(), ring)
+        out.append(v)
+    return out

@@ -36,6 +36,7 @@ from .grassmann import (
     tangent_wedge,
     w_membership,
 )
+from .matrices import PolyMatrix
 from .polynomials import MultiPoly, projectively_equal
 from .serialize import vector_from_json
 
@@ -335,9 +336,7 @@ def scenario_autw_orbit_formula(ctx: Context) -> Report:
     stab = autw.AutWElement.unchecked(
         lam, [[0, 0], [0, 0], [0, 0]], [[a, b], [c, d]], symbolic_det=True
     )
-    image = stab.wedge_matrix().apply(
-        [MultiPoly.zero(sring)] * 9 + [MultiPoly.one(sring)]
-    )
+    image = PolyMatrix(sring, stab.wedge_matrix()).apply([0] * 9 + [1])
     fixes = all(p.is_zero for p in image[:9]) and not image[9].is_zero
     ctx.check(rep, "autw.stabilizer_fixes_e34", fixes)
     seeds = {
@@ -358,6 +357,11 @@ def _sampled_note(note: str, failed: list[tuple[int, str]]) -> str:
         return note
     index, cause = failed[0]
     return f"{note}; first failure: sample {index} ({cause})"
+
+
+def _ga_matrix(ring: tuple[str, ...], *params) -> PolyMatrix:
+    """The 5 x 5 matrix of the unipotent element [u | v | x | y] over ring."""
+    return PolyMatrix(ring, autw.ga_element(*params).matrix5())
 
 
 def scenario_autw_closure(ctx: Context) -> Report:
@@ -385,9 +389,9 @@ def scenario_autw_closure(ctx: Context) -> Report:
     ring = tuple(f"{n}{i}" for i in (1, 2) for n in ("u", "v", "x", "y"))
     gens1 = [MultiPoly.variable(f"{n}1", ring) for n in ("u", "v", "x", "y")]
     gens2 = [MultiPoly.variable(f"{n}2", ring) for n in ("u", "v", "x", "y")]
-    lhs = autw.ga_element(*gens1).matrix5() * autw.ga_element(*gens2).matrix5()
-    sums = autw.ga_element(*(p + q for p, q in zip(gens1, gens2))).matrix5()
-    prods = autw.ga_element(*(p * q for p, q in zip(gens1, gens2))).matrix5()
+    lhs = _ga_matrix(ring, *gens1) * _ga_matrix(ring, *gens2)
+    sums = _ga_matrix(ring, *(p + q for p, q in zip(gens1, gens2)))
+    prods = _ga_matrix(ring, *(p * q for p, q in zip(gens1, gens2)))
     law = "sums" if lhs == sums else ("products" if lhs == prods else "neither")
     ctx.check(
         rep,
@@ -405,8 +409,10 @@ def scenario_autw_closure(ctx: Context) -> Report:
     cring = ("lam", "u", "v", "x", "y")
     lam, cu, cv, cx, cy = (MultiPoly.variable(n, cring) for n in cring)
     gm = autw.AutWElement.unchecked(lam, [[0, 0], [0, 0], [0, 0]], [[1, 0], [0, 1]])
-    lhs2 = gm.matrix5() * autw.ga_element(cu, cv, cx, cy).matrix5()
-    rhs2 = autw.ga_element(lam * cu, lam * cv, lam * cx, lam * cy).matrix5() * gm.matrix5()
+    gm = PolyMatrix(cring, gm.matrix5())
+    scaled = _ga_matrix(cring, lam * cu, lam * cv, lam * cx, lam * cy)
+    lhs2 = gm * _ga_matrix(cring, cu, cv, cx, cy)
+    rhs2 = scaled * gm
     ctx.check(
         rep,
         "autw.gm_conjugation_scaling",
@@ -416,7 +422,7 @@ def scenario_autw_closure(ctx: Context) -> Report:
     ctx.check(
         rep,
         "autw.gm_left_multiplication_matches",
-        lhs2 == autw.ga_element(lam * cu, lam * cv, lam * cx, lam * cy).matrix5(),
+        lhs2 == scaled,
         note="plain left multiplication does not land back in the unipotent subgroup",
         soft=True,
     )
@@ -497,6 +503,21 @@ def scenario_conic_transform(ctx: Context) -> Report:
     return rep
 
 
+def _min_success_fraction(ctx: Context):
+    value = ctx.pinned("split.min_success_fraction")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"golden claim 'split.min_success_fraction' must be a number, got {value!r}")
+    return value
+
+
+def _vertex_curve_display(ctx: Context):
+    value = ctx.pinned("quadrics.vertex_curve_display")
+    try:
+        return vector_from_json(value)
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise DomainError(f"golden claim 'quadrics.vertex_curve_display' is malformed: {exc}") from exc
+
+
 def scenario_node_projection(ctx: Context) -> Report:
     rep = Report("node-projection", ctx.seed, ctx.samples)
     ctx.check(rep, "node.line_count", 6, note="input constant: lines through the node")
@@ -507,20 +528,16 @@ def scenario_node_projection(ctx: Context) -> Report:
     ctx.check(rep, "quadrics.pencil_contains_p3o", data["pencil_contains_p3o"])
     ctx.check(rep, "quadrics.projected_degree", data["projected_degree"])
     ctx.check(rep, "quadrics.vertex_curve_degree", data["vertex_curve_degree"])
-    pen = quadrics.pfaffian_pencil_canonical()
-    vec, _ = quadrics.vertex_curve(pen)
-    display = vector_from_json(ctx.pinned("quadrics.vertex_curve_display"))
     ctx.check(
         rep,
         "quadrics.vertex_curve_display",
-        projectively_equal(vec, display),
+        projectively_equal(data["vertex_curve"], _vertex_curve_display(ctx)),
         True,
         note="projective comparison against the pinned twisted cubic",
     )
     codims = {str(k): quadrics.determinantal_codim(k) for k in range(1, 7)}
     ctx.check(rep, "quadrics.codim_table", codims)
-    threshold = ctx.pinned("split.min_success_fraction")
-    ok = data["net_successes"] >= threshold * ctx.samples
+    ok = data["net_successes"] >= _min_success_fraction(ctx) * ctx.samples
     ctx.check(
         rep,
         "node.net_success_threshold",
@@ -559,11 +576,10 @@ def scenario_determinantal_split(ctx: Context) -> Report:
     runs = [quadrics.sample_net_split(rng) for _ in range(ctx.samples)]
     successes = sum(1 for r in runs if r["ok"])
     degenerate = [i for i, r in enumerate(runs) if not r["ok"]]
-    threshold = ctx.pinned("split.min_success_fraction")
     ctx.check(
         rep,
         "split.success_threshold",
-        successes >= threshold * ctx.samples,
+        successes >= _min_success_fraction(ctx) * ctx.samples,
         True,
         note=f"{successes}/{ctx.samples} nets; degenerate samples {degenerate}",
     )

@@ -19,7 +19,7 @@ from fanocalc.grassmann import (
     pencil_rank_certificate,
     tangent_wedge,
 )
-from fanocalc.matrices import det_bareiss, det_cofactor
+from fanocalc.matrices import PolyMatrix, det_bareiss, det_cofactor
 from fanocalc.polynomials import MultiPoly, projectively_equal, variables
 
 from oracles import lr_multiply
@@ -97,7 +97,7 @@ def test_criterion_5_group_verification():
     stab = autw.AutWElement.unchecked(
         lam, [[0, 0], [0, 0], [0, 0]], [[a, b], [c, d]], symbolic_det=True
     )
-    image = stab.wedge_matrix().apply(
+    image = PolyMatrix(sring, stab.wedge_matrix()).apply(
         [MultiPoly.zero(sring)] * 9 + [MultiPoly.one(sring)]
     )
     assert all(p.is_zero for p in image[:9]) and not image[9].is_zero

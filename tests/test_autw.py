@@ -10,9 +10,7 @@ from fanocalc.autw import (
     decompose_matrix,
     elements_equal,
     ga_element,
-    gm_element,
     group_closure_check,
-    identity_element,
     inverse,
     orbit_classify,
     orbit_formula,
@@ -26,18 +24,30 @@ from fanocalc.autw import (
     vanishes_mod_sl2,
     wedge_square_action,
     wedge_square_action_raw,
+    wedge_square_matrix,
 )
 from fanocalc.errors import ConstraintError, DomainError, WitnessError
 from fanocalc.grassmann import WedgePoint, w_membership
-from fanocalc.polynomials import MultiPoly, projectively_equal
+from fanocalc.matrices import PolyMatrix
+from fanocalc.polynomials import MultiPoly, is_zero, plain, projectively_equal, variables
 
 
 E34 = WedgePoint.basis_vector(3, 4)
+ZERO_U = [[0, 0], [0, 0], [0, 0]]
+ONE_G = [[1, 0], [0, 1]]
+
+
+def identity_element():
+    return assemble(1, ZERO_U, ONE_G)
+
+
+def gm_element(lam):
+    return assemble(lam, ZERO_U, ONE_G)
 
 
 def test_assemble_identity():
     g = identity_element()
-    assert g.matrix5() == __import__("fanocalc.matrices", fromlist=["PolyMatrix"]).PolyMatrix.identity(5)
+    assert PolyMatrix((), g.matrix5()) == PolyMatrix.identity(5)
 
 
 def test_assemble_rejects_bad_det():
@@ -120,15 +130,15 @@ def test_stabilizer_fixes_e34_symbolically():
     ring = ("a", "b", "c", "d", "lam")
     a, b, c, d, lam = (MultiPoly.variable(n, ring) for n in ring)
     stab = AutWElement.unchecked(lam, [[0, 0], [0, 0], [0, 0]], [[a, b], [c, d]], symbolic_det=True)
-    image = stab.wedge_matrix().apply([MultiPoly.zero(ring)] * 9 + [MultiPoly.one(ring)])
+    image = PolyMatrix(ring, stab.wedge_matrix()).apply([MultiPoly.zero(ring)] * 9 + [MultiPoly.one(ring)])
     assert all(p.is_zero for p in image[:9])
     assert not image[9].is_zero
 
 
 def test_gm_multiplication():
     g = group_closure_check(gm_element(Fraction(2)), gm_element(Fraction(3, 5)))
-    assert g.lam.constant_value() == Fraction(6, 5)
-    assert all(x.is_zero for row in g.u for x in row)
+    assert plain(g.lam) == Fraction(6, 5)
+    assert all(is_zero(x) for row in g.u for x in row)
 
 
 def test_ga_composition_is_additive():
@@ -163,6 +173,17 @@ def test_inverse():
         assert elements_equal(group_closure_check(g, inverse(g)), identity_element())
 
 
+def test_inverse_of_symbolic_element():
+    ring = ("a", "b", "c", "d")
+    a, b, c, d = (MultiPoly.variable(n, ring) for n in ring)
+    g = group_closure_check(pgl_element([[a, b], [c, d]], symbolic_det=True), ga_element(1, 2, 0, -1))
+    h = inverse(g)
+    assert h.symbolic_det
+    product = PolyMatrix(ring, g.matrix5()) * PolyMatrix(ring, h.matrix5())
+    identity = PolyMatrix.identity(5, ring)
+    assert all(vanishes_mod_sl2(x - y) for r, s in zip(product.entries, identity.entries) for x, y in zip(r, s))
+
+
 def test_elements_equal_mod_global_sign():
     # scaling the 5x5 matrix by -1 sends (lam, U, G) to (-lam, -U, -G)
     g = pgl_element([[0, 1], [-1, 0]])
@@ -173,8 +194,8 @@ def test_elements_equal_mod_global_sign():
 
 def wedge_squares_equal(g1, g2):
     """Reference equality: the two 10 x 10 wedge squares up to a scalar."""
-    flat1 = [x for row in g1.wedge_matrix().entries for x in row]
-    flat2 = [x for row in g2.wedge_matrix().entries for x in row]
+    flat1 = [x for row in g1.wedge_matrix() for x in row]
+    flat2 = [x for row in g2.wedge_matrix() for x in row]
     return projectively_equal(flat1, flat2)
 
 
@@ -312,3 +333,78 @@ def test_tangent_wedge_points_classify_as_qo():
         assert orbit_classify(point) is OrbitLabel.QO
         wit = orbit_transitivity_witness(WedgePoint.basis_vector(0, 2), point)
         assert wedge_square_action(wit, WedgePoint.basis_vector(0, 2)).proj_eq(point)
+
+
+def wrapped(g):
+    """g with every field a constant MultiPoly: the same element, taken
+    through the polynomial side of every ring-element operation."""
+    c = MultiPoly.constant
+    return AutWElement(
+        c(g.lam),
+        tuple(tuple(map(c, row)) for row in g.u),
+        tuple(tuple(map(c, row)) for row in g.g),
+    )
+
+
+def fields(g):
+    return [g.lam, *g.u[0], *g.u[1], *g.u[2], *g.g[0], *g.g[1]]
+
+
+def same_rows(a, b):
+    return len(a) == len(b) and all(
+        len(r) == len(s) and all(x == y for x, y in zip(r, s)) for r, s in zip(a, b)
+    )
+
+
+def test_plain_and_wrapped_elements_agree():
+    rng = random.Random(41)
+    points = [E34, WedgePoint.basis_vector(1, 3), WedgePoint.basis_vector(1, 2), WedgePoint.basis_vector(0, 2)]
+    for i in range(30):
+        g1, g2 = random_element(rng), random_element(rng)
+        w1, w2 = wrapped(g1), wrapped(g2)
+        assert all(type(x) is MultiPoly for x in fields(w1))
+        product = group_closure_check(g1, g2)
+        assert fields(product) == fields(group_closure_check(w1, w2))
+        assert fields(product) == fields(group_closure_check(g1, w2))
+        assert fields(decompose_matrix(product.matrix5())) == fields(decompose_matrix(wrapped(product).matrix5()))
+        assert fields(inverse(g1)) == fields(inverse(w1))
+        assert same_rows(g1.wedge_matrix(), w1.wedge_matrix())
+        assert same_rows(wedge_square_matrix(g1.matrix5()), wedge_square_matrix(w1.matrix5()))
+        assert elements_equal(g1, w1) and elements_equal(w1, g1)
+        assert elements_equal(g1, g2) == elements_equal(w1, w2) == elements_equal(g1, w2)
+        assert elements_equal(product, wrapped(product)) and not elements_equal(wrapped(product), w1)
+        p = points[i % 4]
+        assert wedge_square_action(g1, p) == wedge_square_action(w1, p)
+        q = wedge_square_action(g2, p)
+        assert wedge_square_action(g1, q) == wedge_square_action(w1, q)
+
+
+def test_constant_of_another_ring_meets_a_polynomial():
+    s_one = MultiPoly.one(("s",))
+    (s,) = variables("s")
+    (t,) = variables("t")
+    m = PolyMatrix(("t",), [[s_one, t]])
+    assert m.entries[0][0] == 1 and m.entries[0][0].vars == ("t",)
+    p = WedgePoint.make([s_one, t] + [0] * 8)
+    assert all(c.vars == ("t",) for c in p.coords)
+    g = ga_element(s_one, t, 0, 0)
+    assert all(x.vars == ("t",) for x in fields(g))
+    h = AutWElement.unchecked(s_one, [[t, 0], [0, 0], [0, 0]], ONE_G)
+    assert h.lam == 1 and all(x.vars == ("t",) for x in fields(h))
+    with pytest.raises(ValueError):
+        PolyMatrix(("t",), [[s, t]])
+    with pytest.raises(ValueError):
+        WedgePoint.make([s, t] + [0] * 8)
+    with pytest.raises(ValueError):
+        ga_element(s, t, 0, 0)
+    with pytest.raises(ValueError):
+        AutWElement.unchecked(s, [[t, 0], [0, 0], [0, 0]], ONE_G)
+
+
+def test_numeric_elements_hold_plain_rationals():
+    rng = random.Random(42)
+    for _ in range(20):
+        g1, g2 = random_element(rng), random_element(rng)
+        for g in (g1, group_closure_check(g1, g2), inverse(g1), assemble(MultiPoly.constant(2), ZERO_U, ONE_G)):
+            for x in fields(g):
+                assert type(x) is int or (type(x) is Fraction and x.denominator > 1)

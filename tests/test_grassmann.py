@@ -125,7 +125,7 @@ def test_canonical_pencil_certificate():
 
 
 def test_degenerate_pencil_certificates():
-    zero5 = PolyMatrix.zeros(5, 5)
+    zero5 = PolyMatrix((), [[0] * 5 for _ in range(5)])
     rank2 = [[Fraction(0)] * 5 for _ in range(5)]
     rank2[0][1], rank2[1][0] = Fraction(1), Fraction(-1)
     pen = SkewFormPencil(PolyMatrix((), rank2), zero5)

@@ -6,10 +6,15 @@ from hypothesis import strategies as st
 
 from fanocalc.polynomials import (
     MultiPoly,
+    div_exact,
+    is_zero,
     normalize_projective,
+    plain,
     poly_gcd,
     poly_gcd_list,
     projectively_equal,
+    ring_of,
+    to_ring,
     variables,
 )
 
@@ -385,3 +390,40 @@ def test_str_roundtrip_readable():
     assert str(x - y) == "x - y"
     assert str(MultiPoly.zero(RING)) == "0"
     assert str(-x) == "-x"
+
+
+def test_ring_element_functions_agree_on_both_kinds():
+    x, y = variables("x y")
+    three = MultiPoly.constant(3, ("x", "y"))
+    assert is_zero(0) and is_zero(Fraction(0)) and is_zero(x - x)
+    assert not is_zero(Fraction(1, 2)) and not is_zero(three)
+    for value in (6, Fraction(6), MultiPoly.constant(6), MultiPoly.constant(6, ("s",))):
+        assert type(plain(value)) is int and plain(value) == 6
+    assert plain(MultiPoly.constant(Fraction(-3, 4), ("x",))) == Fraction(-3, 4)
+    with pytest.raises(ValueError):
+        plain(x)
+    assert div_exact(6, 3) == 2 and type(div_exact(6, 3)) is int
+    assert div_exact(Fraction(1, 2), 3) == Fraction(1, 6)
+    assert div_exact(Fraction(4), Fraction(2)) == 2 and type(div_exact(Fraction(4), Fraction(2))) is int
+    assert div_exact(6, three) == 2 and div_exact(6, three).vars == ("x", "y")
+    assert div_exact(x * y + x, x) == y + 1 and div_exact(x * 3, 3) == x
+    assert div_exact(1, x) is None and div_exact(y, x) is None
+    with pytest.raises(ZeroDivisionError):
+        div_exact(1, 0)
+
+
+def test_to_ring_brings_constants_of_any_ring_into_the_one_ring():
+    x, y = variables("x y")
+    (s,) = variables("s")
+    s_one = MultiPoly.one(("s",))
+    assert ring_of([1, Fraction(1, 2), s_one, MultiPoly.constant(2)]) == ()
+    assert ring_of([1, s_one, x]) == ("x", "y")
+    out = to_ring([1, s_one, x, Fraction(1, 2)])
+    assert [p.vars for p in out] == [("x", "y")] * 4
+    assert out[2] is x and out[:2] == [1, 1] and out[3] == Fraction(1, 2)
+    assert to_ring([s_one], ("x", "y"))[0].vars == ("x", "y")
+    assert [p.vars for p in to_ring([1, s_one])] == [(), ()]
+    with pytest.raises(ValueError):
+        ring_of([s, x])
+    with pytest.raises(ValueError):
+        to_ring([s], ("x", "y"))

@@ -262,7 +262,6 @@ def test_sample_net_split_seeded():
 
 def test_node_projection_scenario_summary():
     data = node_projection_scenario(seed=0, samples=5)
-    assert data["pencil_certificate"] == (6, True)
     assert data["vertex_curve_degree"] == 3
     assert data["projected_degree"] == 8
     assert data["pencil_contains_p3o"] is True

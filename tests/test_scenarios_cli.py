@@ -268,26 +268,50 @@ def _without_deg_g():
     return json.dumps({"version": 1, "claims": claims})
 
 
+def _with_pin(claim, value):
+    def content():
+        claims = dict(load_golden())
+        claims[claim] = value
+        return json.dumps({"version": 1, "claims": claims})
+
+    return content
+
+
 @pytest.mark.parametrize("route", ["flag", "env"])
 @pytest.mark.parametrize(
-    "content, message",
+    "content, message, scenario",
     [
-        (None, "cannot read golden file"),
-        ("{not json", "cannot read golden file"),
-        ("{}", 'has no "claims" object'),
-        (_without_deg_g, "claim 'schubert.deg_G' missing from the golden store"),
+        (None, "cannot read golden file", "schubert-table"),
+        ("{not json", "cannot read golden file", "schubert-table"),
+        ("{}", 'has no "claims" object', "schubert-table"),
+        (_without_deg_g, "claim 'schubert.deg_G' missing from the golden store", "schubert-table"),
+        (_with_pin("split.min_success_fraction", "0.5"), "must be a number", "determinantal-split"),
+        (_with_pin("split.min_success_fraction", True), "must be a number", "node-projection"),
+        (_with_pin("quadrics.vertex_curve_display", "t0^3"), "vertex_curve_display' is malformed", "node-projection"),
+        (_with_pin("quadrics.vertex_curve_display", [1, 2]), "vertex_curve_display' is malformed", "node-projection"),
+        (_with_pin("quadrics.vertex_curve_display", [{"terms": []}]), "vertex_curve_display' is malformed", "node-projection"),
     ],
-    ids=["missing-file", "bad-json", "no-claims", "missing-claim"],
+    ids=[
+        "missing-file",
+        "bad-json",
+        "no-claims",
+        "missing-claim",
+        "string-fraction",
+        "bool-fraction",
+        "string-display",
+        "number-display",
+        "keyless-display",
+    ],
 )
-def test_malformed_golden_file_is_a_usage_error(content, message, route, tmp_path, monkeypatch, capsys):
+def test_malformed_golden_file_is_a_usage_error(content, message, scenario, route, tmp_path, monkeypatch, capsys):
     path = tmp_path / "golden.json"
     if content is not None:
         path.write_text(content() if callable(content) else content)
     if route == "flag":
-        argv = ["run", "schubert-table", "--golden", str(path)]
+        argv = ["run", scenario, "--golden", str(path), "--samples", "1"]
     else:
         monkeypatch.setenv("FANO10_GOLDEN_PATH", str(path))
-        argv = ["run", "schubert-table"]
+        argv = ["run", scenario, "--samples", "1"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -4,9 +4,13 @@
 every binding in the package, and ``Tracer.install`` raises ``LookupError``
 when one has lost its binding (say, a method renamed or folded into
 another).  A traced run would then fail, so this guard runs the install step
-alone in a fresh interpreter.
+alone in a fresh interpreter.  A span that stays bound but is no longer
+called where it is predicted (its caller moved to another function) is a
+silent span, which a traced run counts as a failed op; the second guard runs
+the traced ``report-all`` and asserts that no predicted span is silent.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -31,3 +35,19 @@ def test_tracer_installs_every_declared_span():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_report_all_fires_every_predicted_span():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "perfbench/worker.py", "trace-cli", "0"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["exit"] == 0
+    assert result["silent"] == []
