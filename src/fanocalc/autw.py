@@ -22,20 +22,29 @@ induce the same projective action; equality of group elements is therefore
 tested on the induced action, not on the parameter triple.
 
 A numeric element holds plain rationals (canonical ints and Fractions) and a
-symbolic one holds MultiPolys of one ring.  The group law, the
-decomposition, the inverse, the wedge square and the equality test run one
-code path on both kinds, through ``+ - *`` and the ring-element functions of
-``polynomials`` (``is_zero``, ``div_exact``, ``plain``, ``ring_of``).  Their
-5 x 5 and 10 x 10 matrices are tuples of row tuples; a caller that needs
-``==``, ``*`` or ``.apply`` wraps one as ``PolyMatrix(ring, rows)``.
+symbolic one holds MultiPolys of one ring; so does a WedgePoint.  The group
+law, the decomposition, the inverse, the wedge square, the equality test and
+the orbit classification run one code path on both kinds, through ``+ - *``
+and the ring-element functions of ``polynomials`` (``is_zero``,
+``div_exact``, ``plain``, ``ring_of``).  Their 5 x 5 and 10 x 10 matrices
+are tuples of row tuples; a caller that needs ``==``, ``*`` or ``.apply``
+wraps one as ``PolyMatrix(ring, rows)``.
+
+Where only the projective class of an element matters, or where its
+product is decomposed again (the wedge-square action, the group law,
+equality), a numeric element enters through ``integer_matrix5``: its
+5 x 5 matrix times a positive integer that clears every denominator, built
+from the fields in integer arithmetic, so that work runs on ints.  A
+product of two such matrices has det G = k^2 for an integer k > 0, which
+``decompose_matrix`` divides back out exactly.  ``matrix5`` stays exact.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Optional, Sequence
 
 from .errors import ClosureError, ConstraintError, DomainError, WitnessError
@@ -55,8 +64,8 @@ from .polynomials import (
     normalize_projective,
     plain,
     projectively_equal,
+    ring_elements,
     ring_of,
-    to_ring,
 )
 
 SL2_RING = ("a", "b", "c", "d")
@@ -113,6 +122,11 @@ def symm2(g: Sequence[Sequence]) -> list[list]:
     ]
 
 
+def _times(f: int, values) -> list[int]:
+    """f * x as ints, for plain rationals x whose denominators divide f."""
+    return [x.numerator * (f // x.denominator) for x in values]
+
+
 def _matmul(a: Rows, b: Rows) -> Rows:
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
@@ -142,9 +156,7 @@ class AutWElement:
             raise DomainError("U must be 3 x 2")
         if len(g) != 2 or any(len(r) != 2 for r in g):
             raise DomainError("G must be 2 x 2")
-        values = [lam, *u[0], *u[1], *u[2], *g[0], *g[1]]
-        ring = ring_of(values)
-        lam, *x = to_ring(values, ring) if ring else [plain(v) for v in values]
+        lam, *x = ring_elements([lam, *u[0], *u[1], *u[2], *g[0], *g[1]])
         u = ((x[0], x[1]), (x[2], x[3]), (x[4], x[5]))
         g = ((x[6], x[7]), (x[8], x[9]))
         return cls(lam, u, g, symbolic_det)
@@ -187,6 +199,31 @@ class AutWElement:
             tuple(self.lam * x for x in s[i]) + self.u[i] for i in range(3)
         ) + ((0, 0, 0, g00, g01), (0, 0, 0, g10, g11))
 
+    def integer_matrix5(self) -> Rows:
+        """matrix5() times a positive integer f that makes every entry an
+        int, for a numeric element; matrix5() for a symbolic one.
+
+        With G = Gi / dg for an integer matrix Gi, lam Symm2(G) =
+        (lam / dg^2) Symm2(Gi), so f = lcm(den(lam) dg^2, den(U)) makes each
+        block an integer multiple of Symm2(Gi), of Gi or of the numerators
+        of U.
+        """
+        fields = (self.lam, *self.u[0], *self.u[1], *self.u[2], *self.g[0], *self.g[1])
+        if ring_of(fields):
+            return self.matrix5()
+        lam, *u, a, b, c, d = map(plain, fields)
+        dg = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+        a, b, c, d = _times(dg, (a, b, c, d))
+        top = lam.denominator * dg * dg
+        f = lcm(top, *(x.denominator for x in u))
+        s = symm2(((a, b), (c, d)))
+        lam_f = f // top * lam.numerator
+        u = _times(f, u)
+        k = f // dg
+        return tuple(
+            (lam_f * s[i][0], lam_f * s[i][1], lam_f * s[i][2], u[2 * i], u[2 * i + 1]) for i in range(3)
+        ) + ((0, 0, 0, k * a, k * b), (0, 0, 0, k * c, k * d))
+
     def wedge_matrix(self) -> Rows:
         return wedge_square_matrix(self.matrix5())
 
@@ -205,12 +242,12 @@ class AutWElement:
 
     @classmethod
     def from_json(cls, data: dict) -> "AutWElement":
-        from .serialize import fraction_from_json as fj
+        from .serialize import fraction_from_json, fractions_from_json
 
-        a, b, c, d = (fj(x) for x in data["G"])
-        u = [fj(x) for x in data["U"]]
+        a, b, c, d = fractions_from_json(data["G"])
+        u = fractions_from_json(data["U"])
         return assemble(
-            fj(data["lambda"]),
+            fraction_from_json(data["lambda"]),
             [[u[0], u[1]], [u[2], u[3]], [u[4], u[5]]],
             [[a, b], [c, d]],
         )
@@ -264,15 +301,20 @@ def wedge_square_matrix(a: Rows) -> Rows:
     )
 
 
+def _image(wedge: Rows, p: WedgePoint) -> WedgePoint:
+    return WedgePoint.make([sum(x * c for x, c in zip(row, p.coords)) for row in wedge])
+
+
 def wedge_square_action_raw(g: AutWElement, p: WedgePoint) -> WedgePoint:
     """Image of p under the wedge square of g, coefficients as computed."""
-    coords = p.coords if ring_of(p.coords) else [plain(c) for c in p.coords]
-    return WedgePoint.make([sum(x * c for x, c in zip(row, coords)) for row in g.wedge_matrix()])
+    return _image(g.wedge_matrix(), p)
 
 
 def wedge_square_action(g: AutWElement, p: WedgePoint) -> WedgePoint:
-    """Image of p under the wedge square of g, normalized."""
-    return WedgePoint(normalize_projective(wedge_square_action_raw(g, p).coords))
+    """Image of p under the wedge square of g, normalized (so the integer
+    representative of g gives the same point)."""
+    image = _image(wedge_square_matrix(g.integer_matrix5()), p)
+    return WedgePoint(normalize_projective(image.coords))
 
 
 def p7_defect(g: AutWElement) -> tuple[MultiPoly, ...]:
@@ -306,10 +348,14 @@ def group_closure_check(g1: AutWElement, g2: AutWElement) -> AutWElement:
 
     Raises ClosureError if the product leaves the family; that firing is a
     bug in the caller's inputs (the family is a group), never expected.
+    The factors enter as integer representatives, so the product has
+    det G = k^2 for a constant k > 0, which decompose_matrix divides out;
+    under symbolic_det, where det G = 1 only modulo ad - bc - 1, they enter
+    exactly.
     """
-    m = _matmul(g1.matrix5(), g2.matrix5())
     symbolic = g1.symbolic_det or g2.symbolic_det
-    return decompose_matrix(m, symbolic_det=symbolic)
+    a, b = (g.matrix5() if symbolic else g.integer_matrix5() for g in (g1, g2))
+    return decompose_matrix(_matmul(a, b), symbolic_det=symbolic)
 
 
 def decompose_matrix(m: Rows, symbolic_det: bool = False) -> AutWElement:
@@ -318,11 +364,9 @@ def decompose_matrix(m: Rows, symbolic_det: bool = False) -> AutWElement:
     if not all(is_zero(m[i][j]) for i in (3, 4) for j in (0, 1, 2)):
         raise ClosureError("lower-left block is not zero")
     vanishes = vanishes_mod_sl2 if symbolic_det else is_zero
-    g = [[m[3][3], m[3][4]], [m[4][3], m[4][4]]]
-    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    scale = 1
+    det = m[3][3] * m[4][4] - m[3][4] * m[4][3]
     if not vanishes(det - 1):
-        # try to rescale the whole matrix so that det G becomes 1
+        # divide the whole matrix by the root k of det G = k^2
         try:
             val = plain(det)
         except ValueError:
@@ -330,20 +374,20 @@ def decompose_matrix(m: Rows, symbolic_det: bool = False) -> AutWElement:
         root = _rational_sqrt(val)
         if not root:
             raise ClosureError(f"det G = {val} has no rational square root")
-        scale = 1 / root
-        g = [[x * scale for x in row] for row in g]
-    u = tuple((m[i][3] * scale, m[i][4] * scale) for i in range(3))
+        m = [[div_exact(x, root) for x in row] for row in m]
+    g = [[m[3][3], m[3][4]], [m[4][3], m[4][4]]]
+    u = tuple((m[i][3], m[i][4]) for i in range(3))
     s = symm2(g)
     lam = None
     for i in range(3):
         for j in range(3):
             if lam is None and not is_zero(s[i][j]):
-                lam = div_exact(m[i][j] * scale, s[i][j])
+                lam = div_exact(m[i][j], s[i][j])
     if lam is None:
         raise ClosureError("cannot determine lam from the Symm2 block")
     for i in range(3):
         for j in range(3):
-            if not vanishes(m[i][j] * scale - lam * s[i][j]):
+            if not vanishes(m[i][j] - lam * s[i][j]):
                 raise ClosureError("upper-left block is not lam * Symm2(G)")
     try:
         return assemble(lam, u, g, symbolic_det)
@@ -367,12 +411,13 @@ def inverse(g: AutWElement) -> AutWElement:
 def elements_equal(g1: AutWElement, g2: AutWElement) -> bool:
     """Equality as projective transformations of P^9 (so -G ~ G).
 
-    The 5 x 5 matrices are compared up to a scalar: for invertible A and B,
-    the wedge squares are proportional iff A and B are (if every e_i ^ e_j
-    is an eigenvector of the wedge square of A B^-1, that matrix is scalar).
+    The 5 x 5 matrices (integer representatives of numeric elements) are
+    compared up to a scalar: for invertible A and B, the wedge squares are
+    proportional iff A and B are (if every e_i ^ e_j is an eigenvector of
+    the wedge square of A B^-1, that matrix is scalar).
     """
-    flat1 = [x for row in g1.matrix5() for x in row]
-    flat2 = [x for row in g2.matrix5() for x in row]
+    flat1 = [x for row in g1.integer_matrix5() for x in row]
+    flat2 = [x for row in g2.integer_matrix5() for x in row]
     return projectively_equal(flat1, flat2)
 
 
@@ -419,11 +464,11 @@ def orbit_classify(p: WedgePoint) -> OrbitLabel:
     """
     if not w_membership(p):
         raise DomainError("point is not on W")
-    if not p.coord(3, 4).is_zero:
+    if not is_zero(p.coord(3, 4)):
         return OrbitLabel.OPEN_ORBIT
     if not p.in_rho_plane_span():
         return OrbitLabel.YO_MINUS_RHO
-    if not invariant_conic_residual(p).is_zero:
+    if not is_zero(invariant_conic_residual(p)):
         return OrbitLabel.RHO_MINUS_QO
     return OrbitLabel.QO
 
@@ -433,23 +478,23 @@ def orbit_classify(p: WedgePoint) -> OrbitLabel:
 _INF = "inf"
 
 
-def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
+def _rational_sqrt(value):
+    """The non-negative rational square root of a plain rational, as a
+    canonical int or Fraction; None when there is none."""
     if value < 0:
         return None
     num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
+    rn, rd = isqrt(num), isqrt(den)
     if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
+        return div_exact(rn, rd)
     return None
 
 
-def _open_orbit_params(p: WedgePoint) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    p34 = p.coord(3, 4).constant_value()
-    inv = 1 / p34
-    u = -p.coord(0, 4).constant_value() * inv
-    v = p.coord(0, 3).constant_value() * inv
-    x = -p.coord(1, 3).constant_value() * inv
-    y = p.coord(2, 4).constant_value() * inv
+def _open_orbit_params(p: WedgePoint) -> tuple:
+    p34 = plain(p.coord(3, 4))
+    u, v, x, y = (
+        div_exact(plain(c), p34) for c in (-p.coord(0, 4), p.coord(0, 3), -p.coord(1, 3), p.coord(2, 4))
+    )
     if not orbit_formula(u, v, x, y).proj_eq(p):
         raise DomainError("point is not on the open orbit of W")
     return u, v, x, y
@@ -458,12 +503,12 @@ def _open_orbit_params(p: WedgePoint) -> tuple[Fraction, Fraction, Fraction, Fra
 def _invariant_conic_parameter(p: WedgePoint):
     """Parameter t (or the infinity sentinel) of a point on the invariant
     conic (-t^2 : 1 : 2t) in rho-plane coordinates."""
-    x01, x02, x12 = (c.constant_value() for c in p.rho_plane_coords())
+    x01, x02, x12 = map(plain, p.rho_plane_coords())
     if x02 == 0:
         if x12 != 0:
             raise DomainError("point is not on the invariant conic")
         return _INF
-    t = x12 / (2 * x02)
+    t = div_exact(x12, 2 * x02)
     if x01 != -(t * t) * x02:
         raise DomainError("point is not on the invariant conic")
     return t
@@ -493,9 +538,9 @@ def _solve_e12_transport(target: tuple[Fraction, Fraction, Fraction]) -> AutWEle
         raise WitnessError(
             f"no rational transport from e12: discriminant {delta} is not a nonzero square"
         )
-    for mu in (1 / root, -1 / root):
-        p_ad = (mu * gamma + 1) / 2
-        p_bc = (mu * gamma - 1) / 2
+    for mu in (div_exact(1, root), div_exact(-1, root)):
+        p_ad = div_exact(mu * gamma + 1, 2)
+        p_bc = div_exact(mu * gamma - 1, 2)
         p_ab = -mu * alpha
         p_cd = mu * beta
         sol = _solve_products(p_ad, p_bc, p_ab, p_cd)
@@ -512,9 +557,9 @@ def _solve_products(p_ad, p_bc, p_ab, p_cd):
         a = Fraction(1)
         b, d = p_ab, p_ad
         if b != 0:
-            c = p_bc / b
+            c = div_exact(p_bc, b)
         elif d != 0:
-            c = p_cd / d
+            c = div_exact(p_cd, d)
         else:
             return None
     else:
@@ -523,7 +568,7 @@ def _solve_products(p_ad, p_bc, p_ab, p_cd):
         c = p_bc
         if c == 0:
             return None
-        d = p_cd / c
+        d = div_exact(p_cd, c)
     if a * d == p_ad and b * c == p_bc and a * b == p_ab and c * d == p_cd:
         return (a, b, c, d)
     return None
@@ -549,8 +594,8 @@ def orbit_transitivity_witness(p: WedgePoint, q: WedgePoint) -> Optional[AutWEle
     if label_p is OrbitLabel.RHO_MINUS_QO:
         norm_p = normalize_projective(p.rho_plane_coords())
         norm_q = normalize_projective(q.rho_plane_coords())
-        gp = _solve_e12_transport(tuple(x.constant_value() for x in norm_p))
-        gq = _solve_e12_transport(tuple(x.constant_value() for x in norm_q))
+        gp = _solve_e12_transport(tuple(map(plain, norm_p)))
+        gq = _solve_e12_transport(tuple(map(plain, norm_q)))
         return group_closure_check(gq, inverse(gp))
     return None
 

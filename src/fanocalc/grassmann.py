@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .errors import DegeneracyError, DomainError
 from .matrices import PolyMatrix, is_nonzero_constant, kernel_over_fraction_field, minor_gcd, rank_over_fraction_field
-from .polynomials import MultiPoly, Scalar, normalize_projective, projectively_equal, ring_of, to_ring
+from .polynomials import MultiPoly, Scalar, is_zero, normalize_projective, projectively_equal, ring_elements, ring_of, to_ring
 
 #: wedge basis order: e01, e02, e03, e04, e12, e13, e14, e23, e24, e34
 WEDGE_PAIRS: tuple[tuple[int, int], ...] = tuple(
@@ -56,25 +56,32 @@ RHO_PLANE_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 @dataclass(frozen=True)
 class WedgePoint:
-    """A point of P^9 in wedge coordinates (possibly with symbolic entries)."""
+    """A point of P^9 in wedge coordinates.
 
-    coords: tuple[MultiPoly, ...]
+    A numeric point holds canonical ints and Fractions, a symbolic one
+    MultiPolys of one ring; ``make``, ``from_pairs`` and ``basis_vector``
+    bring their values into that form (``polynomials.ring_elements``), and
+    the membership tests and the orbit layer read coordinates through the
+    ring-element functions, so one code path serves both kinds.
+    """
+
+    coords: tuple
 
     def __post_init__(self):
         if len(self.coords) != 10:
             raise DomainError("a wedge point has 10 coordinates")
-        if all(c.is_zero for c in self.coords):
+        if all(is_zero(c) for c in self.coords):
             raise DomainError("all wedge coordinates are zero")
 
     @classmethod
     def make(cls, values: Sequence) -> "WedgePoint":
-        return cls(tuple(to_ring(values)))
+        return cls(tuple(ring_elements(values)))
 
     @classmethod
     def basis_vector(cls, i: int, j: int) -> "WedgePoint":
         coords = [0] * 10
         coords[WEDGE_INDEX[(i, j)]] = 1
-        return cls.make(coords)
+        return cls(tuple(coords))
 
     @classmethod
     def from_pairs(cls, data: dict[tuple[int, int], Scalar | MultiPoly]) -> "WedgePoint":
@@ -89,7 +96,7 @@ class WedgePoint:
                 raise DomainError("e_ii is zero")
         return cls.make(coords)
 
-    def coord(self, i: int, j: int) -> MultiPoly:
+    def coord(self, i: int, j: int):
         """Coordinate with the sign convention e_ji = -e_ij resolved."""
         if i < j:
             return self.coords[WEDGE_INDEX[(i, j)]]
@@ -103,12 +110,12 @@ class WedgePoint:
     def proj_eq(self, other: "WedgePoint") -> bool:
         return projectively_equal(self.coords, other.coords)
 
-    def rho_plane_coords(self) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    def rho_plane_coords(self) -> tuple:
         return tuple(self.coords[WEDGE_INDEX[p]] for p in RHO_PLANE_PAIRS)
 
     def in_rho_plane_span(self) -> bool:
         return all(
-            self.coords[k].is_zero
+            is_zero(self.coords[k])
             for pair, k in WEDGE_INDEX.items()
             if pair not in RHO_PLANE_PAIRS
         )
@@ -117,7 +124,7 @@ class WedgePoint:
         parts = []
         for pair, k in WEDGE_INDEX.items():
             c = self.coords[k]
-            if not c.is_zero:
+            if not is_zero(c):
                 parts.append(f"({c})*e{pair[0]}{pair[1]}")
         return " + ".join(parts) if parts else "0"
 
@@ -126,15 +133,15 @@ def plucker_embed(u: Sequence, v: Sequence) -> WedgePoint:
     """Wedge of two P^4 points: p_ij = u_i v_j - u_j v_i."""
     if len(u) != 5 or len(v) != 5:
         raise DomainError("points of P^4 have 5 coordinates")
-    uv = to_ring(tuple(u) + tuple(v))
+    uv = ring_elements(tuple(u) + tuple(v))
     uu, vv = uv[:5], uv[5:]
     coords = [uu[i] * vv[j] - uu[j] * vv[i] for (i, j) in WEDGE_PAIRS]
-    if all(c.is_zero for c in coords):
+    if all(is_zero(c) for c in coords):
         raise DegeneracyError("input vectors span no plane (proportional)")
-    return WedgePoint(tuple(coords))
+    return WedgePoint.make(coords)
 
 
-def pfaffian_relations(p: WedgePoint) -> tuple[MultiPoly, ...]:
+def pfaffian_relations(p: WedgePoint) -> tuple:
     """The five 4 x 4 principal Pfaffians of the skew matrix built from p."""
     out = []
     for omit in range(5):
@@ -149,14 +156,12 @@ def pfaffian_relations(p: WedgePoint) -> tuple[MultiPoly, ...]:
 
 def grassmann_membership(p: WedgePoint) -> bool:
     """True iff all five Pfaffian quadrics vanish identically at p."""
-    return all(q.is_zero for q in pfaffian_relations(p))
+    return all(is_zero(q) for q in pfaffian_relations(p))
 
 
 def p7_membership(p: WedgePoint) -> bool:
     """True iff x03 = x14 and x04 = x23 hold identically at p."""
-    return (p.coord(0, 3) - p.coord(1, 4)).is_zero and (
-        p.coord(0, 4) - p.coord(2, 3)
-    ).is_zero
+    return is_zero(p.coord(0, 3) - p.coord(1, 4)) and is_zero(p.coord(0, 4) - p.coord(2, 3))
 
 
 def w_membership(p: WedgePoint) -> bool:
@@ -167,7 +172,7 @@ def special_section_Yo(p: WedgePoint) -> bool:
     """x34 = 0 cut of W; input must lie on W."""
     if not w_membership(p):
         raise DomainError("point is not on W")
-    return p.coord(3, 4).is_zero
+    return is_zero(p.coord(3, 4))
 
 
 # -- the skew pencil cutting out the 7-space -------------------------------
@@ -275,13 +280,13 @@ def tangent_wedge(parametrized: Sequence[MultiPoly], params: tuple[str, str] = (
     return normalize_projective(rehom)
 
 
-def dual_conic_residual(point: WedgePoint) -> MultiPoly:
+def dual_conic_residual(point: WedgePoint):
     """Value of x12^2 - 4 x01 x02 at a point (zero iff on that conic)."""
     x01, x02, x12 = point.rho_plane_coords()
     return x12 * x12 - 4 * (x01 * x02)
 
 
-def invariant_conic_residual(point: WedgePoint) -> MultiPoly:
+def invariant_conic_residual(point: WedgePoint):
     """Value of x12^2 + 4 x01 x02; the zero conic of this form in the rho
     plane is the one preserved by the wedge-square action of the
     automorphism group in the p_ij = u_i v_j - u_j v_i convention."""
@@ -313,10 +318,6 @@ class PlaneOnW:
         for w, vec in zip(weights, self.hyperplane):
             total = [t + w * c for t, c in zip(total, vec)]
         return plucker_embed(self.center, total)
-
-
-def rho_plane() -> PlaneOnW:
-    return PlaneOnW(kind="rho")
 
 
 def sigma_center(t0, t1) -> tuple[MultiPoly, ...]:

@@ -40,13 +40,6 @@ class PolyMatrix:
     def __setattr__(self, *_args):
         raise AttributeError("PolyMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int, vars: Sequence[str] = ()) -> "PolyMatrix":
-        return cls(
-            vars,
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)],
-        )
-
     def __getitem__(self, ij: tuple[int, int]) -> MultiPoly:
         i, j = ij
         return self.entries[i][j]

@@ -30,7 +30,10 @@ A ring element is a plain rational (an ``int`` or a ``Fraction``) or a
 ``MultiPoly``.  A plain rational is a constant of every ring, so ``+``, ``-``
 and ``*`` already mix the two kinds.  The module functions ``is_zero``,
 ``div_exact``, ``plain`` and ``ring_of`` spell the remaining operations once
-for both, so the same code runs over Q and over Q[vars].
+for both, so the same code runs over Q and over Q[vars];
+``normalize_projective`` and ``projectively_equal`` are written over them.
+``ring_elements`` brings a sequence into one kind: MultiPolys of its ring,
+or canonical plain rationals when no value is a non-constant polynomial.
 
 How a plain rational or a constant of another ring meets a polynomial is
 decided here only: by ``MultiPoly._pair`` for one pair of operands and by
@@ -325,18 +328,6 @@ class MultiPoly:
             out[tuple(ne)] = _scalar(c * e[idx])
         return MultiPoly._raw(self.vars, out)
 
-    def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
-        """Full evaluation; every variable must receive a rational value."""
-        vals = [_scalar(values[v]) for v in self.vars]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for x, v in zip(e, vals):
-                if x:
-                    term *= v**x
-            total += term
-        return total
-
     def eval_some(self, values: Mapping[str, Scalar]) -> "MultiPoly":
         """Partial evaluation; unmentioned variables stay symbolic (same ring)."""
         idxs = {self.vars.index(v): _scalar(c) for v, c in values.items()}
@@ -595,26 +586,21 @@ def poly_gcd_list(polys: Iterable[MultiPoly]) -> MultiPoly:
 # -- projective normalization -------------------------------------------
 
 
-def normalize_projective(coords: Sequence[MultiPoly]) -> tuple[MultiPoly, ...]:
+def normalize_projective(coords: Sequence) -> tuple:
     """Clear denominators, divide by the common integer content, and fix the
-    sign so the first nonzero entry has positive leading coefficient."""
-    if all(p.is_zero for p in coords):
+    sign so the first nonzero entry has positive leading coefficient.
+
+    Entries are ring elements of one kind: MultiPolys come back as
+    MultiPolys of their ring, plain rationals as primitive ints."""
+    if all(is_zero(p) for p in coords):
         raise ValueError("cannot normalize the zero vector")
-    den = 1
-    for p in coords:
-        for c in p.terms.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    scaled = [p * den for p in coords]
-    num = 0
-    for p in scaled:
-        for c in p.terms.values():
-            num = math.gcd(num, abs(c.numerator))
-    scaled = [p * Fraction(1, num) for p in scaled]
-    first = next(p for p in scaled if not p.is_zero)
-    _, lead = first.leading()
-    if lead < 0:
-        scaled = [-p for p in scaled]
-    return tuple(scaled)
+    coeffs = [c for p in coords for c in _coefficients(p)]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    num = math.gcd(*(c.numerator * (den // c.denominator) for c in coeffs))
+    first = next(p for p in coords if not is_zero(p))
+    if (first.leading()[1] if type(first) is MultiPoly else first) < 0:
+        num = -num
+    return tuple(_map_coefficients(p, lambda c: c.numerator * (den // c.denominator) // num) for p in coords)
 
 
 def projectively_equal(a: Sequence, b: Sequence) -> bool:
@@ -633,6 +619,21 @@ def projectively_equal(a: Sequence, b: Sequence) -> bool:
 
 def is_zero(x) -> bool:
     return x.is_zero if type(x) is MultiPoly else not x
+
+
+def _coefficients(x) -> Iterable[Scalar]:
+    """The nonzero coefficients of a ring element."""
+    if type(x) is MultiPoly:
+        return x.terms.values()
+    return (x,) if x else ()
+
+
+def _map_coefficients(x, fn):
+    """The ring element with every nonzero coefficient c replaced by fn(c),
+    which must be a nonzero canonical coefficient."""
+    if type(x) is MultiPoly:
+        return MultiPoly._raw(x.vars, {e: fn(c) for e, c in x.terms.items()})
+    return fn(x) if x else 0
 
 
 def plain(x) -> Scalar:
@@ -656,6 +657,15 @@ def ring_of(values: Iterable) -> tuple[str, ...]:
     if len(rings) > 1:
         raise ValueError(f"ring mismatch: {sorted(rings)}")
     return rings.pop() if rings else ()
+
+
+def ring_elements(values: Iterable) -> list:
+    """values as ring elements of one kind: MultiPolys of ring_of(values) when
+    that ring is not (), else canonical plain rationals (constant MultiPolys
+    included)."""
+    values = list(values)
+    ring = ring_of(values)
+    return to_ring(values, ring) if ring else [plain(v) for v in values]
 
 
 def to_ring(values: Iterable, vars: Sequence[str] | None = None) -> list[MultiPoly]:

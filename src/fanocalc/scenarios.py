@@ -38,7 +38,7 @@ from .grassmann import (
 )
 from .matrices import PolyMatrix
 from .polynomials import MultiPoly, projectively_equal
-from .serialize import vector_from_json
+from .serialize import fractions_from_json, vector_from_json
 
 GOLDEN_ENV = "FANO10_GOLDEN_PATH"
 
@@ -555,7 +555,8 @@ def scenario_determinantal_split(ctx: Context) -> Report:
 
         with _reading_input():
             gens = [
-                quadrics.QuadricForm.from_integer_matrix(m) for m in ctx.input_data["net"]
+                quadrics.QuadricForm.from_integer_matrix([fractions_from_json(row, integer=True) for row in m])
+                for m in ctx.input_data["net"]
             ]
             net = quadrics.QuadricNet(tuple(gens))
         septic = quadrics.determinantal_septic(net)
@@ -606,9 +607,9 @@ def scenario_determinantal_split(ctx: Context) -> Report:
 def scenario_membership_checks(ctx: Context) -> Report:
     """Membership/certificate checks driven by a JSON descriptor.
 
-    Descriptor format: {"points": [{"coords": ["0", "1", ...10 rationals],
-    "grassmann": bool, "p7": bool, "w": bool}, ...]}.  Without input a
-    bundled set of characteristic points is used.
+    Descriptor format: {"points": [{"coords": ["0", "1", ...10 rationals as
+    strings or integers], "grassmann": bool, "p7": bool, "w": bool}, ...]}.
+    Without input a bundled set of characteristic points is used.
     """
     rep = Report("membership-checks", ctx.seed, ctx.samples)
     default_points = [
@@ -620,7 +621,7 @@ def scenario_membership_checks(ctx: Context) -> Report:
     ]
     spec = (ctx.input_data or {}).get("points", default_points)
     with _reading_input():
-        points = [WedgePoint.make([Fraction(c) for c in entry["coords"]]) for entry in spec]
+        points = [WedgePoint.make(fractions_from_json(entry["coords"])) for entry in spec]
     for i, (entry, point) in enumerate(zip(spec, points)):
         for key, fn in (
             ("grassmann", grassmann_membership),

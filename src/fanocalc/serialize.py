@@ -1,4 +1,4 @@
-"""Canonical JSON forms for polynomials, matrices, and points.
+"""Canonical JSON forms for polynomials and vectors of polynomials.
 
 The canonical polynomial form records the variable tuple, the term order
 ("grlex"), and the term list sorted ascending by exponent vector, with
@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .matrices import PolyMatrix
 from .polynomials import MultiPoly
 
 TERM_ORDER = "grlex"
@@ -21,8 +20,21 @@ def fraction_to_json(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
 
 
-def fraction_from_json(s: str | int) -> Fraction:
-    return Fraction(s) if isinstance(s, str) else Fraction(int(s))
+def fraction_from_json(value: str | int, integer: bool = False) -> Fraction:
+    """One scalar of a golden file or an input descriptor: an int that is not
+    a bool or, unless integer is set, a string that Fraction parses ("3",
+    "-1/2").  Anything else (a float, a bool, null, a list) is a TypeError, so
+    no value is read approximately."""
+    if type(value) is int or (type(value) is str and not integer):
+        return Fraction(value)
+    raise TypeError(f"expected {'an integer' if integer else 'a rational string or an integer'}, got {value!r}")
+
+
+def fractions_from_json(values: list, integer: bool = False) -> list[Fraction]:
+    """A JSON list of scalars, each read by fraction_from_json."""
+    if type(values) is not list:
+        raise TypeError(f"expected a list, got {values!r}")
+    return [fraction_from_json(v, integer) for v in values]
 
 
 def poly_to_json(p: MultiPoly) -> dict[str, Any]:
@@ -43,27 +55,6 @@ def poly_from_json(data: dict[str, Any]) -> MultiPoly:
     return MultiPoly(
         vs, {tuple(e): fraction_from_json(c) for e, c in data["terms"]}
     )
-
-
-def matrix_to_json(m: PolyMatrix) -> dict[str, Any]:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "variables": list(m.vars),
-        "order": TERM_ORDER,
-        "entries": [[poly_to_json(x) for x in row] for row in m.entries],
-    }
-
-
-def matrix_from_json(data: dict[str, Any]) -> PolyMatrix:
-    return PolyMatrix(
-        tuple(data["variables"]),
-        [[poly_from_json(x) for x in row] for row in data["entries"]],
-    )
-
-
-def vector_to_json(v: Sequence[MultiPoly]) -> list[dict[str, Any]]:
-    return [poly_to_json(p) for p in v]
 
 
 def vector_from_json(data: Sequence[dict[str, Any]]) -> tuple[MultiPoly, ...]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
+from fanocalc.matrices import PolyMatrix
 from fanocalc.polynomials import MultiPoly
 
 
@@ -43,6 +44,23 @@ def leibniz_det(entries) -> MultiPoly:
         for i in range(n):
             term = term * grid[i][perm[i]]
         total = total + term
+    return total
+
+
+def identity_matrix(n: int, vars=()) -> PolyMatrix:
+    return PolyMatrix(vars, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def evaluate(poly: MultiPoly, values) -> Fraction:
+    """Full evaluation term by term in plain Fraction arithmetic; every
+    variable of the ring must receive a rational value."""
+    vals = [Fraction(values[v]) for v in poly.vars]
+    total = Fraction(0)
+    for expo, coeff in poly.terms.items():
+        term = Fraction(coeff)
+        for x, v in zip(expo, vals):
+            term *= v**x
+        total += term
     return total
 
 

@@ -27,9 +27,11 @@ from fanocalc.autw import (
     wedge_square_matrix,
 )
 from fanocalc.errors import ConstraintError, DomainError, WitnessError
-from fanocalc.grassmann import WedgePoint, w_membership
+from fanocalc.grassmann import WedgePoint, grassmann_membership, p7_membership, w_membership
 from fanocalc.matrices import PolyMatrix
-from fanocalc.polynomials import MultiPoly, is_zero, plain, projectively_equal, variables
+from fanocalc.polynomials import MultiPoly, is_zero, normalize_projective, plain, projectively_equal, variables
+
+from oracles import identity_matrix
 
 
 E34 = WedgePoint.basis_vector(3, 4)
@@ -47,7 +49,7 @@ def gm_element(lam):
 
 def test_assemble_identity():
     g = identity_element()
-    assert PolyMatrix((), g.matrix5()) == PolyMatrix.identity(5)
+    assert PolyMatrix((), g.matrix5()) == identity_matrix(5)
 
 
 def test_assemble_rejects_bad_det():
@@ -180,8 +182,21 @@ def test_inverse_of_symbolic_element():
     h = inverse(g)
     assert h.symbolic_det
     product = PolyMatrix(ring, g.matrix5()) * PolyMatrix(ring, h.matrix5())
-    identity = PolyMatrix.identity(5, ring)
+    identity = identity_matrix(5, ring)
     assert all(vanishes_mod_sl2(x - y) for r, s in zip(product.entries, identity.entries) for x, y in zip(r, s))
+
+
+def test_symbolic_det_element_times_fractional_element():
+    ring = ("a", "b", "c", "d")
+    a, b, c, d = (MultiPoly.variable(n, ring) for n in ring)
+    s = pgl_element([[a, b], [c, d]], symbolic_det=True)
+    h = assemble(Fraction(1, 3), ZERO_U, ONE_G)
+    for g1, g2 in ((s, h), (h, s)):
+        product = group_closure_check(g1, g2)
+        assert product.symbolic_det
+        exact = PolyMatrix(ring, g1.matrix5()) * PolyMatrix(ring, g2.matrix5())
+        got = PolyMatrix(ring, product.matrix5())
+        assert all(vanishes_mod_sl2(x - y) for r, t in zip(got.entries, exact.entries) for x, y in zip(r, t))
 
 
 def test_elements_equal_mod_global_sign():
@@ -408,3 +423,124 @@ def test_numeric_elements_hold_plain_rationals():
         for g in (g1, group_closure_check(g1, g2), inverse(g1), assemble(MultiPoly.constant(2), ZERO_U, ONE_G)):
             for x in fields(g):
                 assert type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def wrapped_point(p):
+    """p with every coordinate a constant MultiPoly (the raw constructor keeps
+    them; make would bring them back to plain rationals)."""
+    return WedgePoint(tuple(MultiPoly.constant(c) for c in p.coords))
+
+
+def canonical(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def sample_points(rng):
+    """Points of every stratum of W, as images of the four seed points, and
+    points off W: random rational points and a rank-four bivector inside
+    the 7-space."""
+    seeds = [E34, WedgePoint.basis_vector(1, 3), WedgePoint.basis_vector(1, 2), WedgePoint.basis_vector(0, 2)]
+    on_w = [wedge_square_action(random_element(rng), seeds[i % 4]) for i in range(16)]
+    off_w = [
+        WedgePoint.make([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(10)]) for _ in range(8)
+    ]
+    off_w.append(WedgePoint.from_pairs({(0, 3): 1, (1, 4): 1}))
+    return on_w, off_w
+
+
+def test_plain_and_wrapped_points_agree():
+    rng = random.Random(43)
+    on_w, off_w = sample_points(rng)
+    for p in on_w + off_w:
+        w = wrapped_point(p)
+        assert all(type(c) is MultiPoly for c in w.coords)
+        assert grassmann_membership(p) == grassmann_membership(w)
+        assert p7_membership(p) == p7_membership(w)
+        assert w_membership(p) == w_membership(w)
+        assert normalize_projective(p.coords) == normalize_projective(w.coords)
+        assert p.proj_eq(w) and w.proj_eq(p)
+        g = random_element(rng)
+        assert wedge_square_action(g, p) == wedge_square_action(g, w)
+        assert wedge_square_action(wrapped(g), w) == wedge_square_action(g, p)
+    for i, p in enumerate(on_w):
+        w = wrapped_point(p)
+        assert orbit_classify(p) is orbit_classify(w)
+        q = on_w[(i + 4) % len(on_w)]
+        witness = orbit_transitivity_witness(p, q)
+        witness_w = orbit_transitivity_witness(w, wrapped_point(q))
+        if witness is None:
+            assert witness_w is None
+            continue
+        assert fields(witness) == fields(witness_w)
+        assert wedge_square_action(witness_w, w).proj_eq(q)
+
+
+def exact_product(g1, g2):
+    """Reference group law: the exact matrix5() of both factors multiplied in
+    Fraction arithmetic, then decomposed."""
+    a, b = g1.matrix5(), g2.matrix5()
+    return decompose_matrix([[sum(a[i][k] * b[k][j] for k in range(5)) for j in range(5)] for i in range(5)])
+
+
+def flat(rows):
+    return [x for row in rows for x in row]
+
+
+def sample_elements(rng):
+    """Random elements, their inverses (fractional U) and elements whose G
+    has fractional entries."""
+    out = []
+    for _ in range(20):
+        g = random_element(rng)
+        r = Fraction(rng.choice([1, 2, 3, -2]), rng.choice([1, 3, 5]))
+        diag = assemble(Fraction(rng.randint(1, 4), rng.randint(1, 3)), ZERO_U, [[r, 0], [0, 1 / r]])
+        out += [g, inverse(g), group_closure_check(diag, g)]
+    return out
+
+
+def test_integer_representatives_match_the_exact_group_law():
+    rng = random.Random(44)
+    elements = sample_elements(rng)
+    for i, a in enumerate(elements):
+        b = elements[(i * 7 + 3) % len(elements)]
+        rep, exact = flat(a.integer_matrix5()), flat(a.matrix5())
+        assert all(type(x) is int for x in rep)
+        ref = next(k for k, x in enumerate(exact) if x)
+        scale = Fraction(rep[ref]) / exact[ref]
+        assert scale > 0 and scale.denominator == 1
+        assert all(x == scale * y for x, y in zip(rep, exact))
+        product = group_closure_check(a, b)
+        assert fields(product) == fields(exact_product(a, b))
+        assert fields(decompose_matrix(product.integer_matrix5())) == fields(product)
+        assert fields(decompose_matrix(product.matrix5())) == fields(product)
+        scaled = [[Fraction(3, 2) * x for x in row] for row in product.matrix5()]
+        assert fields(decompose_matrix(scaled)) == fields(product)
+        for g, h in ((a, b), (product, exact_product(a, b)), (a, negated(a)), (product, a)):
+            assert elements_equal(g, h) == projectively_equal(flat(g.matrix5()), flat(h.matrix5()))
+        assert elements_equal(product, exact_product(a, b)) and elements_equal(a, negated(a))
+
+
+def test_points_and_witnesses_hold_no_floats():
+    rng = random.Random(45)
+    on_w, off_w = sample_points(rng)
+    for p in on_w + off_w:
+        assert all(canonical(c) for c in p.coords)
+    for p in on_w:
+        assert all(type(c) is int for c in p.coords)
+    for i, p in enumerate(on_w):
+        witness = orbit_transitivity_witness(p, on_w[(i + 4) % len(on_w)])
+        assert witness is None or all(canonical(x) for x in fields(witness))
+    # coordinates whose exact quotients are not integers: 1 / x34 with
+    # x34 = 2, and x12 / (2 x02) = 12 / 8 on the invariant conic
+    open_point = WedgePoint.make([2 * c for c in orbit_formula(Fraction(1, 2), 3, 0, 1).coords])
+    conic_point = WedgePoint.from_pairs({(0, 1): -9, (0, 2): 4, (1, 2): 12})
+    rho_point = WedgePoint.from_pairs({(0, 1): 2, (0, 2): 1, (1, 2): 1})
+    for p, seed in ((open_point, E34), (conic_point, WedgePoint.basis_vector(0, 2)), (rho_point, WedgePoint.basis_vector(1, 2))):
+        for witness in (orbit_transitivity_witness(seed, p), orbit_transitivity_witness(p, seed)):
+            assert all(canonical(x) for x in fields(witness))
+        assert wedge_square_action(orbit_transitivity_witness(seed, p), seed).proj_eq(p)
+    made = WedgePoint.make([Fraction(4, 2), MultiPoly.constant(3), Fraction(1, 2)] + [0] * 7)
+    assert [type(c) for c in made.coords[:3]] == [int, int, Fraction]
+    assert all(type(c) is int for c in WedgePoint.basis_vector(2, 4).coords)
+    flipped = WedgePoint.from_pairs({(1, 0): Fraction(2, 1)}).coords
+    assert flipped[0] == -2 and all(type(c) is int for c in flipped)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from fanocalc.polynomials import (
     to_ring,
     variables,
 )
+
+from oracles import evaluate
 
 RING = ("x", "y", "z")
 
@@ -81,7 +84,7 @@ def test_degree_and_homogeneity():
 def test_derivative_and_eval():
     p = x**2 * y + 3 * z
     assert p.derivative("x") == 2 * x * y
-    assert p.evaluate({"x": 2, "y": 3, "z": 1}) == 15
+    assert evaluate(p, {"x": 2, "y": 3, "z": 1}) == 15
     assert p.eval_some({"x": 2}) == 4 * y + 3 * z
 
 
@@ -376,6 +379,42 @@ def test_normalize_projective_sign_and_content():
     assert v == (x * y, y * y, -(x * x))
     w = normalize_projective([Fraction(1, 2) * x, Fraction(3, 2) * y])
     assert w == (x, 3 * y)
+
+
+def reference_normalize_projective(coords):
+    """The MultiPoly-only normalization the protocol version replaced: scale
+    by the lcm of the denominators, then by 1/content, then fix the sign."""
+    den = 1
+    for p in coords:
+        for c in p.terms.values():
+            den = den * c.denominator // math.gcd(den, c.denominator)
+    scaled = [p * den for p in coords]
+    num = 0
+    for p in scaled:
+        for c in p.terms.values():
+            num = math.gcd(num, abs(c.numerator))
+    scaled = [p * Fraction(1, num) for p in scaled]
+    first = next(p for p in scaled if not p.is_zero)
+    return tuple(-p for p in scaled) if first.leading()[1] < 0 else tuple(scaled)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(small_polys(coeffs=RATIONALS), max_size=4), RATIONALS.filter(bool))
+def test_normalize_projective_on_polys_matches_reference(polys, c):
+    coords = polys + [c * y * z]
+    out = normalize_projective(coords)
+    ref = reference_normalize_projective(coords)
+    assert [(p.vars, list(p.terms.items())) for p in out] == [(p.vars, list(p.terms.items())) for p in ref]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(RATIONALS, min_size=1, max_size=8).filter(any))
+def test_normalize_projective_on_plain_vectors(values):
+    out = normalize_projective(values)
+    assert all(type(c) is int for c in out)
+    assert out == normalize_projective([MultiPoly.constant(v) for v in values])
+    assert math.gcd(*out) == 1 and next(c for c in out if c) > 0
+    assert projectively_equal(out, values)
 
 
 def test_projectively_equal():

@@ -26,6 +26,8 @@ from fanocalc.quadrics import (
 )
 from fanocalc.scenarios import load_golden
 
+from oracles import evaluate
+
 
 def test_pencil_ranks_and_vertices():
     pen = pfaffian_pencil_canonical()
@@ -240,7 +242,7 @@ def test_septic_parameter_substitution_consistency():
             NET_PARAMS[i]: sum(Fraction(m[i][j]) * pt[j] for j in range(3))
             for i in range(3)
         }
-        direct = septic.evaluate(moved_pt)
+        direct = evaluate(septic, moved_pt)
         # the net re-expressed in transformed parameters agrees pointwise
         regens = []
         for i in range(3):

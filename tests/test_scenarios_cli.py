@@ -196,6 +196,10 @@ def test_sample_count_below_one_is_a_usage_error(samples, capsys):
 ZERO_U = ["0", "0", "0", "0", "0", "0"]
 
 
+def diagonal(*entries):
+    return [[entries[i] if i == j else 0 for j in range(7)] for i in range(7)]
+
+
 @pytest.mark.parametrize(
     "scenario, content",
     [
@@ -208,6 +212,12 @@ ZERO_U = ["0", "0", "0", "0", "0", "0"]
         ("determinantal-split", json.dumps({"net": [[[int(i == j) for j in range(7)] for i in range(7)]] * 4})),
         ("aut-w-p7", json.dumps({"elements": [{"lambda": "1", "G": ["1", "0", "0", "0"], "U": ZERO_U}]})),
         ("aut-w-p7", json.dumps({"elements": [{"lambda": "1", "G": ["1", "0", "0", "1"], "U": ZERO_U[:4]}]})),
+        ("aut-w-p7", json.dumps({"elements": [{"lambda": "1", "G": ["1", 0.5, "0", "1"], "U": ZERO_U}]})),
+        ("aut-w-p7", json.dumps({"elements": [{"lambda": True, "G": ["1", "0", "0", "1"], "U": ZERO_U}]})),
+        ("membership-checks", json.dumps({"points": [{"coords": [0, 0, 0.1, 0, 0, 0, "1/10", 0, 0, 0], "p7": True}]})),
+        ("membership-checks", json.dumps({"points": [{"coords": [True] + [0] * 9}]})),
+        ("membership-checks", json.dumps({"points": [{"coords": "0000000001"}]})),
+        ("determinantal-split", json.dumps({"net": [diagonal(1.0, 1, 1, 1, 1, 1, 1), diagonal(1, 2, 3, 4, 5, 6, 7), diagonal(1, -1, 2, -2, 3, -3, 4)]})),
     ],
     ids=[
         "bad-json",
@@ -219,6 +229,12 @@ ZERO_U = ["0", "0", "0", "0", "0", "0"]
         "four-quadric-net",
         "element-fails-assemble",
         "short-U",
+        "float-element-entry",
+        "bool-lambda",
+        "float-coordinate",
+        "bool-coordinate",
+        "string-coords",
+        "float-net-entry",
     ],
 )
 def test_malformed_input_descriptor_is_a_usage_error(scenario, content, tmp_path, capsys):
