@@ -66,7 +66,6 @@ from .quadrics import (
     build_net,
     determinantal_codim,
     determinantal_septic,
-    node_projection_scenario,
     pfaffian_pencil_canonical,
     septic_split,
     vertex_curve,
@@ -110,7 +109,6 @@ __all__ = [
     "m_cubed_by_adjunction",
     "minor_gcd",
     "multiply",
-    "node_projection_scenario",
     "normalize_projective",
     "orbit_classify",
     "orbit_transitivity_witness",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DimensionError
 from .polynomials import MultiPoly, normalize_projective, poly_gcd_list, to_ring
@@ -124,9 +124,6 @@ class PolyMatrix:
             self.vars,
             [[self.entries[i][j] for j in col_idx] for i in row_idx],
         )
-
-    def map(self, fn: Callable[[MultiPoly], MultiPoly]) -> "PolyMatrix":
-        return PolyMatrix(self.vars, [[fn(x) for x in row] for row in self.entries])
 
     def is_skew(self) -> bool:
         if not self.is_square:

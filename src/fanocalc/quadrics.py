@@ -41,6 +41,7 @@ from .matrices import (
     rank_over_fraction_field,
 )
 from .polynomials import MultiPoly
+from .serialize import poly_to_json
 
 P6_COORDS: tuple[str, ...] = ("x01", "x02", "x12", "x03", "x04", "x13", "x24")
 P6_INDEX = {name: i for i, name in enumerate(P6_COORDS)}
@@ -91,14 +92,6 @@ class QuadricForm:
         if len(basis) != 1:
             raise DegeneracyError(f"kernel dimension {len(basis)} != 1")
         return basis[0]
-
-    def value(self, point: Sequence[Fraction]) -> Fraction:
-        vec = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for i in range(7):
-            for j in range(7):
-                total += vec[i] * self.gram.entries[i][j].constant_value() * vec[j]
-        return total
 
     def restrict_to_span(self, span: Sequence[Sequence]) -> MultiPoly:
         """The form pulled back to the parametrized span sum w_i * span[i];
@@ -324,26 +317,31 @@ def random_quadric(rng: random.Random, bound: int = 9) -> QuadricForm:
 
 
 def sample_net_split(rng: random.Random, include_coefficients: bool = False) -> dict:
-    """Build one random net through the canonical pencil and analyze its
-    determinantal curve; degeneracies are reported, never hidden."""
-    report: dict = {}
+    """Build one random net through the canonical pencil and analyze it."""
     while True:
         try:
             net = build_net(random_quadric(rng))
             break
         except DegeneracyError:
             continue
+    return analyze_net(net, include_coefficients)
+
+
+def analyze_net(net: QuadricNet, include_coefficients: bool = False) -> dict:
+    """Split the determinantal curve of a net by the pencil line s2 = 0 and
+    count where the residual sextic meets it.  A vanishing determinant or a
+    failed split is reported under "failure", never hidden; the report stops
+    at the first stage that fails."""
+    report: dict = {}
     try:
         septic = determinantal_septic(net)
-    except DegeneracyError:
+    except DegeneracyError as exc:
         report["septic_degree"] = None
         report["ok"] = False
-        report["failure"] = "degenerate determinant"
+        report["failure"] = str(exc)
         return report
     report["septic_degree"] = septic.degree
     if include_coefficients:
-        from .serialize import poly_to_json
-
         report["septic_coefficients"] = poly_to_json(septic.form)["terms"]
     line = MultiPoly.variable("s2", NET_PARAMS)
     try:
@@ -359,26 +357,3 @@ def sample_net_split(rng: random.Random, include_coefficients: bool = False) -> 
         septic.degree == 7 and residual.degree == 6 and count == 6 and distinct
     )
     return report
-
-
-def node_projection_scenario(seed: int = 0, samples: int = 20) -> dict:
-    """Certify the canonical pencil and compute its vertex cubic (returned as
-    "vertex_curve"), and analyze seeded random nets through it;
-    cross-reports the degree-8 count from the blow-up bookkeeping."""
-    from .birational import blow_up_node, initial_state_x10
-
-    out: dict = {"seed": seed, "samples": samples}
-    pen = pfaffian_pencil_canonical()
-    out["rank_P_o"] = pen.a.rank()
-    out["rank_P_inf"] = pen.b.rank()
-    out["vertex_curve"], out["vertex_curve_degree"] = vertex_curve(pen)
-    span = common_subspace_p3o()
-    out["pencil_contains_p3o"] = all(
-        g.restrict_to_span(span).is_zero for g in (pen.a, pen.b)
-    )
-    state = blow_up_node(initial_state_x10())
-    mk = state.minus_k()
-    out["projected_degree"] = state.triple_product(mk, mk, mk)
-    rng = random.Random(seed)
-    out["net_successes"] = sum(1 for _ in range(samples) if sample_net_split(rng)["ok"])
-    return out

@@ -130,6 +130,13 @@ class Context:
         self.golden = golden if golden is not None else load_golden()
         self.input_data = input_data
 
+    @functools.cached_property
+    def seeded_nets(self) -> list[dict]:
+        """Reports of the samples seeded random nets, drawn once per context
+        and shared by the scenarios that read them."""
+        rng = random.Random(self.seed)
+        return [quadrics.sample_net_split(rng) for _ in range(self.samples)]
+
     def check(self, report: Report, claim: str, computed, expected=_PINNED, note: str = "", soft: bool = False):
         """Append one step comparing computed with expected, which defaults
         to the claim's golden pin; returns computed."""
@@ -522,59 +529,69 @@ def scenario_node_projection(ctx: Context) -> Report:
     rep = Report("node-projection", ctx.seed, ctx.samples)
     ctx.check(rep, "node.line_count", 6, note="input constant: lines through the node")
     birational.scenario_node_projection(functools.partial(ctx.check, rep))
-    data = quadrics.node_projection_scenario(seed=ctx.seed, samples=ctx.samples)
-    ctx.check(rep, "quadrics.rank_P_o", data["rank_P_o"])
-    ctx.check(rep, "quadrics.rank_P_inf", data["rank_P_inf"])
-    ctx.check(rep, "quadrics.pencil_contains_p3o", data["pencil_contains_p3o"])
-    ctx.check(rep, "quadrics.projected_degree", data["projected_degree"])
-    ctx.check(rep, "quadrics.vertex_curve_degree", data["vertex_curve_degree"])
+    pen = quadrics.pfaffian_pencil_canonical()
+    ctx.check(rep, "quadrics.rank_P_o", pen.a.rank())
+    ctx.check(rep, "quadrics.rank_P_inf", pen.b.rank())
+    span = quadrics.common_subspace_p3o()
+    ctx.check(
+        rep,
+        "quadrics.pencil_contains_p3o",
+        all(g.restrict_to_span(span).is_zero for g in (pen.a, pen.b)),
+    )
+    state = birational.blow_up_node(birational.initial_state_x10())
+    mk = state.minus_k()
+    ctx.check(rep, "quadrics.projected_degree", state.triple_product(mk, mk, mk))
+    curve, degree = quadrics.vertex_curve(pen)
+    ctx.check(rep, "quadrics.vertex_curve_degree", degree)
     ctx.check(
         rep,
         "quadrics.vertex_curve_display",
-        projectively_equal(data["vertex_curve"], _vertex_curve_display(ctx)),
+        projectively_equal(curve, _vertex_curve_display(ctx)),
         True,
         note="projective comparison against the pinned twisted cubic",
     )
     codims = {str(k): quadrics.determinantal_codim(k) for k in range(1, 7)}
     ctx.check(rep, "quadrics.codim_table", codims)
-    ok = data["net_successes"] >= _min_success_fraction(ctx) * ctx.samples
+    successes = sum(1 for r in ctx.seeded_nets if r["ok"])
     ctx.check(
         rep,
         "node.net_success_threshold",
-        ok,
+        successes >= _min_success_fraction(ctx) * ctx.samples,
         True,
-        note=f"{data['net_successes']}/{ctx.samples} seeded nets split cleanly",
+        note=f"{successes}/{ctx.samples} seeded nets split cleanly",
     )
     return rep
+
+
+#: (claim, net report field) of each stage of the determinantal split.
+_SPLIT_STAGES = (
+    ("split.septic_degree", "septic_degree"),
+    ("split.sextic_degree", "sextic_degree"),
+    ("split.line_points", "line_intersection_count"),
+)
 
 
 def scenario_determinantal_split(ctx: Context) -> Report:
     rep = Report("determinantal-split", ctx.seed, ctx.samples)
     if ctx.input_data and "net" in ctx.input_data:
-        from .serialize import poly_to_json
-
         with _reading_input():
             gens = [
                 quadrics.QuadricForm.from_integer_matrix([fractions_from_json(row, integer=True) for row in m])
                 for m in ctx.input_data["net"]
             ]
             net = quadrics.QuadricNet(tuple(gens))
-        septic = quadrics.determinantal_septic(net)
-        coeffs = poly_to_json(septic.form)["terms"]
-        ctx.check(
-            rep,
-            "split.septic_degree",
-            septic.degree,
-            note=f"net from input descriptor; septic coefficients {coeffs}",
-        )
-        line = MultiPoly.variable("s2", quadrics.NET_PARAMS)
-        residual, (count, distinct) = quadrics.septic_split(septic, line)
-        ctx.check(rep, "split.sextic_degree", residual.degree)
-        ctx.check(rep, "split.line_points", count)
-        ctx.check(rep, "split.line_points_distinct", distinct, True, soft=True)
+        result = quadrics.analyze_net(net, include_coefficients=True)
+        # the septic coefficients annotate the first stage only
+        note = f"net from input descriptor; septic coefficients {result.get('septic_coefficients')}"
+        for claim, field_name in _SPLIT_STAGES:
+            if result.get(field_name) is None:
+                ctx.check(rep, claim, None, note=result["failure"])
+                return rep
+            ctx.check(rep, claim, result[field_name], note=note)
+            note = ""
+        ctx.check(rep, "split.line_points_distinct", result["line_intersection_distinct"], True, soft=True)
         return rep
-    rng = random.Random(ctx.seed)
-    runs = [quadrics.sample_net_split(rng) for _ in range(ctx.samples)]
+    runs = ctx.seeded_nets
     successes = sum(1 for r in runs if r["ok"])
     degenerate = [i for i, r in enumerate(runs) if not r["ok"]]
     ctx.check(
@@ -592,13 +609,7 @@ def scenario_determinantal_split(ctx: Context) -> Report:
         note="informational: whether every sample was nondegenerate",
         soft=True,
     )
-    for claim in ("split.septic_degree", "split.sextic_degree", "split.line_points"):
-        key = claim.split(".")[1]
-        field_name = {
-            "septic_degree": "septic_degree",
-            "sextic_degree": "sextic_degree",
-            "line_points": "line_intersection_count",
-        }[key]
+    for claim, field_name in _SPLIT_STAGES:
         values = {r.get(field_name) for r in runs if r["ok"]}
         ctx.check(rep, claim + "_uniform", values, {ctx.pinned(claim)})
     return rep

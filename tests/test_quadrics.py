@@ -17,14 +17,13 @@ from fanocalc.quadrics import (
     common_subspace_p3o,
     determinantal_codim,
     determinantal_septic,
-    node_projection_scenario,
     pfaffian_pencil_canonical,
     random_quadric,
     sample_net_split,
     septic_split,
     vertex_curve,
 )
-from fanocalc.scenarios import load_golden
+from fanocalc.scenarios import Context, load_golden, run_scenario
 
 from oracles import evaluate
 
@@ -263,8 +262,10 @@ def test_sample_net_split_seeded():
 
 
 def test_node_projection_scenario_summary():
-    data = node_projection_scenario(seed=0, samples=5)
-    assert data["vertex_curve_degree"] == 3
-    assert data["projected_degree"] == 8
-    assert data["pencil_contains_p3o"] is True
-    assert data["net_successes"] >= 4
+    report = run_scenario("node-projection", Context(seed=0, samples=5))
+    steps = {s.claim: s for s in report.steps}
+    assert steps["quadrics.vertex_curve_degree"].computed == 3
+    assert steps["quadrics.projected_degree"].computed == 8
+    assert steps["quadrics.pencil_contains_p3o"].computed is True
+    successes = int(steps["node.net_success_threshold"].note.split("/")[0])
+    assert successes >= 4

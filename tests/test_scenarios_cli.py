@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from fanocalc import quadrics
 from fanocalc.cli import main
 from fanocalc.errors import DomainError
+from fanocalc.serialize import poly_to_json
 from fanocalc.scenarios import (
     Context,
     Report,
@@ -114,23 +116,111 @@ def test_cli_membership_input_descriptor(tmp_path, capsys):
     assert "membership.point0.w" in out
 
 
+def doubled(q):
+    """The Gram matrix of q times two: an integer matrix."""
+    return [[int(2 * q.gram.entries[i][j].constant_value()) for j in range(7)] for i in range(7)]
+
+
+def diagonal(*d):
+    return [[d[i] if i == j else 0 for j in range(7)] for i in range(7)]
+
+
+def run_net_descriptor(tmp_path, capsys, net, fmt="json") -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of determinantal-split on one net."""
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"net": net}))
+    code = main(["run", "determinantal-split", "--input", str(path), "--format", fmt])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def test_cli_net_input_descriptor(tmp_path, capsys):
-    from fanocalc.quadrics import pfaffian_pencil_canonical, random_quadric
     import random
 
-    pen = pfaffian_pencil_canonical()
-    third = random_quadric(random.Random(2))
-    # integer matrices: double the Gram entries to clear the halves
-    def doubled(q):
-        return [
-            [int(2 * q.gram.entries[i][j].constant_value()) for j in range(7)]
-            for i in range(7)
-        ]
+    pen = quadrics.pfaffian_pencil_canonical()
+    net = [doubled(pen.a), doubled(pen.b), doubled(quadrics.random_quadric(random.Random(2)))]
+    code, out, _ = run_net_descriptor(tmp_path, capsys, net)
+    assert code == 0
+    steps = json.loads(out)["steps"]
+    assert [(s["claim"], s["computed"]) for s in steps] == [
+        ("split.septic_degree", 7),
+        ("split.sextic_degree", 6),
+        ("split.line_points", 6),
+        ("split.line_points_distinct", True),
+    ]
+    septic = quadrics.determinantal_septic(
+        quadrics.QuadricNet(tuple(quadrics.QuadricForm.from_integer_matrix(m) for m in net))
+    )
+    assert str(poly_to_json(septic.form)["terms"]) in steps[0]["note"]
 
-    descriptor = {"net": [doubled(pen.a), doubled(pen.b), doubled(third)]}
-    path = tmp_path / "net.json"
-    path.write_text(json.dumps(descriptor))
-    assert main(["run", "determinantal-split", "--input", str(path)]) == 0
+
+def _pencil_and(coeffs):
+    """The canonical pencil and one more quadric, as integer matrices."""
+    pen = quadrics.pfaffian_pencil_canonical()
+    return [doubled(pen.a), doubled(pen.b), doubled(quadrics.QuadricForm.from_coefficients(coeffs))]
+
+
+@pytest.mark.parametrize(
+    "net, claim, failure",
+    [
+        (
+            [diagonal(1, 1, 1, 1, 1, 1, 1), diagonal(1, 2, 3, 4, 5, 6, 7), diagonal(1, -1, 2, -2, 3, -3, 4)],
+            "split.sextic_degree",
+            "the line does not divide the curve",
+        ),
+        (
+            # the third quadric contains the vertex twisted cubic
+            _pencil_and(
+                {("x13", "x04"): 1, ("x03", "x03"): -1, ("x01", "x01"): 1, ("x02", "x02"): 1, ("x12", "x12"): 1}
+            ),
+            "split.sextic_degree",
+            "the line divides the curve more than once",
+        ),
+        (
+            [diagonal(0, 1, 1, 1, 1, 1, 1), diagonal(0, 1, 2, 3, 4, 5, 6), diagonal(0, 1, -1, 2, -2, 3, -3)],
+            "split.septic_degree",
+            "identically degenerate net",
+        ),
+    ],
+    ids=["line-does-not-divide", "line-divides-twice", "vanishing-determinant"],
+)
+def test_cli_net_input_that_fails_the_split_is_a_failed_step(tmp_path, capsys, net, claim, failure):
+    code, out, err = run_net_descriptor(tmp_path, capsys, net)
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)
+    assert report["status"] == "fail"
+    last = report["steps"][-1]
+    assert last["claim"] == claim
+    assert last["computed"] is None
+    assert not last["passed"] and not last["soft"]
+    assert failure in last["note"]
+    assert all(s["passed"] for s in report["steps"][:-1])
+    code, out, err = run_net_descriptor(tmp_path, capsys, net, fmt="text")
+    assert code == 1
+    assert err == ""
+    assert f"FAIL {claim}: computed None" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report-all", "--samples", "3"],
+        ["run", "node-projection", "--samples", "3"],
+        ["run", "determinantal-split", "--samples", "3"],
+    ],
+)
+def test_seeded_nets_are_analyzed_once_per_run(monkeypatch, capsys, argv):
+    calls = []
+    sample = quadrics.sample_net_split
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(quadrics, "sample_net_split", counted)
+    assert main(argv) == 0
+    assert len(calls) == 3
 
 
 def test_partial_status_and_strict_demotion():
