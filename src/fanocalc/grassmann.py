@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegeneracyError, DomainError
-from .matrices import PolyMatrix, is_nonzero_constant, kernel_over_fraction_field, minor_gcd, rank_over_fraction_field
+from .matrices import PolyMatrix, is_nonzero_constant, kernel_over_fraction_field, linear_family, minor_gcd, rank_over_fraction_field
 from .polynomials import MultiPoly, Scalar, is_zero, normalize_projective, projectively_equal, ring_elements, ring_of, to_ring
 
 #: wedge basis order: e01, e02, e03, e04, e12, e13, e14, e23, e24, e34
@@ -194,18 +194,7 @@ class SkewFormPencil:
                 raise DomainError("pencil members must be skew-symmetric")
 
     def matrix(self) -> PolyMatrix:
-        t0 = MultiPoly.variable(self.params[0], self.params)
-        t1 = MultiPoly.variable(self.params[1], self.params)
-        return PolyMatrix(
-            self.params,
-            [
-                [
-                    self.h0.entries[i][j] * t0 + self.h1.entries[i][j] * t1
-                    for j in range(5)
-                ]
-                for i in range(5)
-            ],
-        )
+        return linear_family(self.params, (self.h0, self.h1))
 
 
 def canonical_pencil() -> SkewFormPencil:

@@ -1,10 +1,17 @@
 """Matrices over the polynomial ring: exact determinants, rank, kernels.
 
-Determinants run through two routes: cofactor expansion for small sizes and
-fraction-free (Bareiss) elimination for size >= 5, where expression swell
-would otherwise hurt.  One fraction-free forward elimination serves the
-Bareiss determinant, the rank and the pivot choice of the kernel, all taken
-over the fraction field Q(vars); "for all parameter values" rank claims are
+Determinants run through three routes:
+- cofactor expansion below size 5;
+- from size 5 up, when every row is homogeneous: exact interpolation from
+  integer determinants at the points of a triangular grid, whose size the
+  degrees fix (no step samples anything);
+- fraction-free (Bareiss) elimination otherwise, and for matrices without
+  variables.
+
+One fraction-free forward elimination serves the Bareiss determinant, the
+point determinants, the rank and the pivot choice of the kernel, all taken
+over the fraction field Q(vars).  It runs over Z[vars], or over plain ints
+when there are no variables.  "For all parameter values" rank claims are
 certified separately via the gcd of all k x k minors (a sampling argument can
 never certify those).
 """
@@ -12,12 +19,13 @@ never certify those).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import lcm, prod
+from itertools import combinations, product
+from math import factorial, lcm, prod
+from operator import floordiv
 from typing import Sequence
 
 from .errors import DimensionError
-from .polynomials import MultiPoly, normalize_projective, poly_gcd_list, to_ring
+from .polynomials import MultiPoly, is_zero, normalize_projective, plain, poly_gcd_list, to_ring
 
 
 class PolyMatrix:
@@ -144,6 +152,21 @@ class PolyMatrix:
         )
 
 
+def linear_family(params: Sequence[str], members: Sequence[PolyMatrix]) -> PolyMatrix:
+    """The matrix sum params[k] * members[k] over Q[params], for numeric
+    members of one shape, built entry by entry from their coefficients."""
+    vs = tuple(params)
+    units = [tuple(int(i == k) for i in range(len(vs))) for k in range(len(vs))]
+    first = members[0]
+    return PolyMatrix(
+        vs,
+        [
+            [MultiPoly(vs, {u: plain(g.entries[i][j]) for u, g in zip(units, members)}) for j in range(first.cols)]
+            for i in range(first.rows)
+        ],
+    )
+
+
 # -- determinants ----------------------------------------------------------
 
 
@@ -186,53 +209,80 @@ def _eliminate(m: PolyMatrix) -> tuple[list[int], list[int], int, MultiPoly]:
 
     Returns (pivot rows, pivot columns, swap sign, last pivot).  Row indices
     refer to m; the last pivot is the minor of m on the pivot rows and
-    columns, taken in pivot order, and is 1 when there is no pivot.  Every
-    division is exact because each entry stays a minor of the matrix being
-    eliminated.
+    columns, taken in pivot order, and is 1 when there is no pivot.
 
     Each row is first multiplied by the lcm of its coefficient denominators,
-    so the elimination runs over Z[vars] with integer coefficients.  Scaling
-    a row by a nonzero constant moves no pivot; it multiplies the minor by
-    that constant, which the last pivot divides out again.
+    so the elimination runs over Z[vars] with integer coefficients, and over
+    plain ints when m has no variables.  Scaling a row by a nonzero constant
+    moves no pivot; it multiplies the minor by that constant, which the last
+    pivot divides out again.
     """
-    a = []
-    scales = []
-    for row in m.entries:
-        den = 1
-        for p in row:
-            for c in p.terms.values():
-                den = lcm(den, c.denominator)
-        scales.append(den)
-        a.append([p * den for p in row] if den != 1 else list(row))
-    order = list(range(m.rows))
-    prev = MultiPoly.one(m.vars)
+    scales = [_row_scale(row) for row in m.entries]
+    if m.vars:
+        a = [[p * den for p in row] if den != 1 else list(row) for row, den in zip(m.entries, scales)]
+        pivot_rows, pivot_cols, sign, last = _bareiss(a, _div_exact, MultiPoly.one(m.vars))
+    else:
+        # a constant of the ring () holds its value under the exponent ()
+        a = [[_integral(p.terms.get((), 0), den) for p in row] for row, den in zip(m.entries, scales)]
+        pivot_rows, pivot_cols, sign, last = _bareiss(a, floordiv, 1)
+    scale = prod(scales[i] for i in pivot_rows)
+    if not m.vars:
+        last = MultiPoly.constant(Fraction(last, scale))
+    elif scale != 1:
+        last = last * Fraction(1, scale)
+    return pivot_rows, pivot_cols, sign, last
+
+
+def _row_scale(row) -> int:
+    """lcm of the coefficient denominators of a row of MultiPolys."""
+    return lcm(*(c.denominator for p in row for c in p.terms.values()))
+
+
+def _integral(c, den: int) -> int:
+    """The int c * den, for a coefficient c whose denominator divides den."""
+    return c.numerator * (den // c.denominator)
+
+
+def _div_exact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    q = a.div_exact(b)
+    assert q is not None, "Bareiss division must be exact"
+    return q
+
+
+def _bareiss(a: list[list], divide, prev) -> tuple[list[int], list[int], int, object]:
+    """The elimination loop of ``_eliminate``, in place on the rows a, whose
+    entries lie in Z or in Z[vars]; divide is the exact division there and
+    prev its one.  Every division is exact because each entry stays a minor
+    of the matrix being eliminated."""
+    n_rows = len(a)
+    n_cols = len(a[0]) if a else 0
+    order = list(range(n_rows))
     pivot_rows: list[int] = []
     pivot_cols: list[int] = []
     sign = 1
     r = 0
-    for c in range(m.cols):
-        if r == m.rows:
+    for c in range(n_cols):
+        if r == n_rows:
             break
-        pivot = next((i for i in range(r, m.rows) if not a[i][c].is_zero), None)
-        if pivot is None:
+        pivot = r
+        while pivot < n_rows and is_zero(a[pivot][c]):
+            pivot += 1
+        if pivot == n_rows:
             continue
         if pivot != r:
             a[r], a[pivot] = a[pivot], a[r]
             order[r], order[pivot] = order[pivot], order[r]
             sign = -sign
-        for i in range(r + 1, m.rows):
-            for j in range(c + 1, m.cols):
-                num = a[i][j] * a[r][c] - a[i][c] * a[r][j]
-                q = num.div_exact(prev)
-                assert q is not None, "Bareiss division must be exact"
-                a[i][j] = q
-        prev = a[r][c]
+        top = a[r]
+        lead = top[c]
+        for i in range(r + 1, n_rows):
+            row = a[i]
+            f = row[c]
+            row[c + 1 :] = [divide(x * lead - f * y, prev) for x, y in zip(row[c + 1 :], top[c + 1 :])]
+        prev = lead
         pivot_rows.append(order[r])
         pivot_cols.append(c)
         r += 1
-    scale = prod(scales[i] for i in pivot_rows)
-    if scale != 1:
-        prev = prev * Fraction(1, scale)
     return pivot_rows, pivot_cols, sign, prev
 
 
@@ -246,11 +296,92 @@ def det_bareiss(m: PolyMatrix) -> MultiPoly:
     return -last if sign < 0 else last
 
 
+def _det_by_interpolation(m: PolyMatrix, degree: int) -> MultiPoly:
+    """Determinant of a square matrix over Q[v1..vk], k >= 1, whose rows are
+    homogeneous with total degrees summing to ``degree``.
+
+    The determinant is then zero or a form of that degree, so setting vk = 1
+    loses no coefficient.  What is left is a polynomial f of total degree at
+    most ``degree`` in v1..v(k-1), and its values on the triangular grid
+    {a in N^(k-1) : sum(a) <= degree} fix it.  Each value is an integer
+    determinant once every row is cleared of denominators as in
+    ``_eliminate``.  The Newton forward differences of f on the grid are
+    integers; the one at a, divided by prod(a_i!), is the coefficient of the
+    falling factorials prod((v_i)_(a_i)).  Those are turned into monomials,
+    divided by the row multipliers once and homogenised again (Zippel,
+    *Effective Polynomial Computation*, 1993).
+    """
+    n = m.rows
+    free = len(m.vars) - 1
+    scale = 1
+    rows = []  # per row: (exponent in v1..v(k-1), integer coefficient per column)
+    for row in m.entries:
+        den = _row_scale(row)
+        scale *= den
+        by_expo: dict[tuple[int, ...], list[int]] = {}
+        for j, p in enumerate(row):
+            for e, c in p.terms.items():
+                by_expo.setdefault(e[:free], [0] * n)[j] = _integral(c, den)
+        rows.append(list(by_expo.items()))
+    grid = [a for a in product(range(degree + 1), repeat=free) if sum(a) <= degree]
+    monomials = {e for terms in rows for e, _ in terms}
+    values = {}
+    for point in grid:
+        weights = {e: prod(map(pow, point, e)) for e in monomials}
+        a = []
+        for terms in rows:
+            acc = [0] * n
+            for e, coeffs in terms:
+                w = weights[e]
+                if w:
+                    acc = [x + w * y for x, y in zip(acc, coeffs)]
+            a.append(acc)
+        pivot_rows, _, sign, last = _bareiss(a, floordiv, 1)
+        values[point] = sign * last if len(pivot_rows) == n else 0
+    lines = [
+        [base[:axis] + (t,) + base[axis + 1 :] for t in range(degree - sum(base) + 1)]
+        for axis in range(free)
+        for base in grid
+        if base[axis] == 0
+    ]
+    for line in lines:
+        # forward differences in place: line[t] ends up holding the t-th one at line[0]
+        for j in range(1, len(line)):
+            for t in range(len(line) - 1, j - 1, -1):
+                values[line[t]] -= values[line[t - 1]]
+    for point in grid:
+        values[point] //= prod(map(factorial, point))
+    for line in lines:
+        # falling factorials (v)_t, nodes 0, 1, ..., to powers of v
+        for j in range(len(line) - 2, 0, -1):
+            for t in range(j, len(line) - 1):
+                values[line[t]] -= j * values[line[t + 1]]
+    terms = {}
+    for point, c in values.items():
+        if c:
+            q, r = divmod(c, scale)
+            terms[point + (degree - sum(point),)] = Fraction(c, scale) if r else q
+    return MultiPoly(m.vars, terms)
+
+
 def poly_det(m: PolyMatrix) -> MultiPoly:
-    """Exact determinant; cofactors below size 5, Bareiss from 5 up."""
+    """Exact determinant: cofactors below size 5; from 5 up, interpolation
+    at integer points when every row is homogeneous, else Bareiss."""
     if not m.is_square:
         raise DimensionError("determinant of a non-square matrix")
-    return det_cofactor(m) if m.rows < 5 else det_bareiss(m)
+    if m.rows < 5:
+        return det_cofactor(m)
+    if not m.vars:
+        return det_bareiss(m)
+    degree = 0
+    for row in m.entries:
+        row_degrees = {sum(e) for p in row for e in p.terms}
+        if not row_degrees:
+            return MultiPoly.zero(m.vars)
+        if len(row_degrees) > 1:
+            return det_bareiss(m)
+        degree += row_degrees.pop()
+    return _det_by_interpolation(m, degree)
 
 
 # -- rank and kernel over the fraction field -------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -36,6 +37,7 @@ from .matrices import (
     PolyMatrix,
     is_nonzero_constant,
     kernel_over_fraction_field,
+    linear_family,
     minor_gcd,
     poly_det,
     rank_over_fraction_field,
@@ -130,18 +132,7 @@ class QuadricPencil:
     params: tuple[str, str] = ("t0", "t1")
 
     def matrix(self) -> PolyMatrix:
-        t0 = MultiPoly.variable(self.params[0], self.params)
-        t1 = MultiPoly.variable(self.params[1], self.params)
-        return PolyMatrix(
-            self.params,
-            [
-                [
-                    self.a.gram.entries[i][j] * t0 + self.b.gram.entries[i][j] * t1
-                    for j in range(7)
-                ]
-                for i in range(7)
-            ],
-        )
+        return linear_family(self.params, (self.a.gram, self.b.gram))
 
     def rank_certificate(self) -> tuple[int, bool]:
         """(generic rank, certified rank >= 6 for every parameter value)."""
@@ -165,20 +156,7 @@ class QuadricNet:
             raise DegeneracyError("net generators are linearly dependent")
 
     def matrix(self) -> PolyMatrix:
-        svars = [MultiPoly.variable(n, self.params) for n in self.params]
-        return PolyMatrix(
-            self.params,
-            [
-                [
-                    sum(
-                        (g.gram.entries[i][j] * s for g, s in zip(self.generators, svars)),
-                        MultiPoly.zero(self.params),
-                    )
-                    for j in range(7)
-                ]
-                for i in range(7)
-            ],
-        )
+        return linear_family(self.params, [g.gram for g in self.generators])
 
 
 @dataclass(frozen=True)
@@ -200,8 +178,10 @@ class PlaneCurve:
 # -- canonical data -----------------------------------------------------------
 
 
+@cache
 def pfaffian_pencil_canonical() -> QuadricPencil:
-    """The pencil spanned by P_o and P_inf in the fixed P^6 coordinates."""
+    """The pencil spanned by P_o and P_inf in the fixed P^6 coordinates,
+    built once: it is immutable."""
     p_o = QuadricForm.from_coefficients(
         {("x01", "x24"): 1, ("x02", "x03"): -1, ("x04", "x12"): 1}
     )

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanocalc.errors import DimensionError
 from fanocalc.matrices import (
@@ -258,27 +261,35 @@ def test_det_bareiss_matches_cofactor_and_leibniz_on_rational_rows():
     assert det_bareiss(m) == leibniz_det(m.entries)
 
 
+def numeric_row_matrix(rng, n, dens):
+    """An n x n matrix of rationals, no variables, whose row i lies over 1/dens[i]."""
+    return PolyMatrix((), [[Fraction(rng.randint(-4, 4), d) for _ in range(n)] for d in dens])
+
+
 def test_row_clearing_keeps_pivots_ranks_and_kernels():
-    rng = random.Random(32)
-    for dens in DENOMINATOR_PATTERNS:
-        for _ in range(3):
-            m = rational_row_matrix(rng, 5, dens)
-            dependent = with_dependent_rows(m, rng)
-            for case in (m, dependent, dependent.submatrix((0, 1, 2, 4), range(5))):
-                rows, cols, sign, last = _eliminate(case)
-                ref_rows, ref_cols, ref_sign, ref_last = reference_eliminate(case)
-                assert (rows, cols, sign) == (ref_rows, ref_cols, ref_sign)
-                assert list(last.terms.items()) == list(ref_last.terms.items())
-                assert last == det_cofactor(case.submatrix(rows, cols))
-                assert rank_over_fraction_field(case) == len(ref_cols)
-                # scaling rows by nonzero rationals changes no kernel
-                factors = [Fraction(rng.choice((-2, 1, 5)), rng.randint(1, 6)) for _ in case.entries]
-                scaled = PolyMatrix(case.vars, [[x * f for x in row] for f, row in zip(factors, case.entries)])
-                basis = kernel_over_fraction_field(case)
-                assert basis == kernel_over_fraction_field(scaled)
-                assert len(basis) == case.cols - len(ref_cols)
-                for vec in basis:
-                    assert all(p.is_zero for p in case.apply(vec))
+    # rows over Q[x, y], then rows of plain rationals (no variables), which
+    # are eliminated in ints
+    for make, seed in ((rational_row_matrix, 32), (numeric_row_matrix, 33)):
+        rng = random.Random(seed)
+        for dens in DENOMINATOR_PATTERNS:
+            for _ in range(3):
+                m = make(rng, 5, dens)
+                dependent = with_dependent_rows(m, rng)
+                for case in (m, dependent, dependent.submatrix((0, 1, 2, 4), range(5))):
+                    rows, cols, sign, last = _eliminate(case)
+                    ref_rows, ref_cols, ref_sign, ref_last = reference_eliminate(case)
+                    assert (rows, cols, sign) == (ref_rows, ref_cols, ref_sign)
+                    assert list(last.terms.items()) == list(ref_last.terms.items())
+                    assert last == det_cofactor(case.submatrix(rows, cols))
+                    assert rank_over_fraction_field(case) == len(ref_cols)
+                    # scaling rows by nonzero rationals changes no kernel
+                    factors = [Fraction(rng.choice((-2, 1, 5)), rng.randint(1, 6)) for _ in case.entries]
+                    scaled = PolyMatrix(case.vars, [[x * f for x in row] for f, row in zip(factors, case.entries)])
+                    basis = kernel_over_fraction_field(case)
+                    assert basis == kernel_over_fraction_field(scaled)
+                    assert len(basis) == case.cols - len(ref_cols)
+                    for vec in basis:
+                        assert all(p.is_zero for p in case.apply(vec))
 
 
 def test_kernel_with_constant_content_remainders():
@@ -299,3 +310,105 @@ def test_kernel_with_constant_content_remainders():
     assert len(basis) == sub.cols - rank
     for vec in basis:
         assert all(p.is_zero for p in sub.apply(vec))
+
+
+# -- determinants by interpolation at integer points ------------------------
+
+VARS = ("x", "y", "z")
+
+
+def forms(vs, degree, den):
+    """Forms of one total degree over 1/den with small coefficients, zero included."""
+    monos = [
+        tuple(combo.count(i) for i in range(len(vs)))
+        for combo in combinations_with_replacement(range(len(vs)), degree)
+    ]
+    return st.dictionaries(st.sampled_from(monos), st.integers(-3, 3), max_size=2).map(
+        lambda terms: MultiPoly(vs, {e: Fraction(c, den) for e, c in terms.items()})
+    )
+
+
+@st.composite
+def det_cases(draw):
+    """An n x n matrix over Q[x], Q[x, y] or Q[x, y, z], n = 5, 6, 7, whose
+    rows are forms of degree 0, 1 or 2 in each entry, over 1, 1/2 or 1/7.
+    At most one row is special: the zero row, a rational combination of two
+    other rows (the determinant vanishes), or entries of two different
+    degrees (the row is not homogeneous, so Bareiss runs)."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(5, 7))
+    vs = VARS[:k]
+    rows = []
+    for _ in range(n):
+        den = draw(st.sampled_from((1, 2, 7)))
+        degree = draw(st.integers(0, 2 if n < 7 else 1))
+        rows.append([draw(forms(vs, degree, den)) for _ in range(n)])
+    special = draw(st.sampled_from((None, "zero", "dependent", "mixed")))
+    pos = draw(st.integers(0, n - 1))
+    if special == "zero":
+        rows[pos] = [MultiPoly.zero(vs)] * n
+    elif special == "dependent":
+        i, j = (pos + 1) % n, (pos + 2) % n
+        a, b = Fraction(draw(st.integers(-3, 3)), 2), Fraction(draw(st.integers(-3, 3)), 7)
+        rows[pos] = [a * p + b * q for p, q in zip(rows[i], rows[j])]
+    elif special == "mixed":
+        degree = draw(st.integers(0, 1))
+        rows[pos] = [draw(forms(vs, degree + j % 2, 1)) for j in range(n)]
+    return PolyMatrix(vs, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(det_cases())
+def test_poly_det_matches_bareiss_and_leibniz(m):
+    det = poly_det(m)
+    assert det == det_bareiss(m)
+    if m.rows <= 6:
+        # the oracle takes the ring from its non-constant entries
+        plain_constants = [[p.constant_value() if p.is_constant else p for p in row] for row in m.entries]
+        assert det == leibniz_det(plain_constants)
+
+
+def homogeneous_row_matrix(rng, degrees, dens, nvars=3):
+    """A square matrix whose row i is a form of degree degrees[i] in every
+    entry, with coefficients over 1/dens[i]."""
+    vs = VARS[:nvars]
+    rows = []
+    for degree, den in zip(degrees, dens):
+        monos = [
+            tuple(combo.count(i) for i in range(nvars))
+            for combo in combinations_with_replacement(range(nvars), degree)
+        ]
+        rows.append(
+            [
+                MultiPoly(vs, {rng.choice(monos): Fraction(rng.randint(1, 5), den) for _ in range(2)})
+                for _ in degrees
+            ]
+        )
+    return PolyMatrix(vs, rows)
+
+
+def test_poly_det_on_homogeneous_rows():
+    rng = random.Random(41)
+    for degrees, dens, nvars in (
+        ((0, 1, 2, 1, 0), (1, 2, 7, 1, 2), 3),
+        ((1,) * 7, (2,) * 7, 3),
+        ((2, 0, 1, 1, 0, 2), (7, 1, 2, 1, 7, 1), 2),
+        ((1, 2, 0, 1, 1), (7, 7, 1, 2, 1), 1),
+    ):
+        m = homogeneous_row_matrix(rng, degrees, dens, nvars)
+        det = poly_det(m)
+        assert not det.is_zero and det.is_homogeneous() and det.total_degree() == sum(degrees)
+        assert det == det_bareiss(m)
+        rows = [list(row) for row in m.entries]
+        zero_row = PolyMatrix(m.vars, rows[:-1] + [[MultiPoly.zero(m.vars)] * len(rows)])
+        assert poly_det(zero_row).is_zero
+        # a last row that is a multiple of a row of the same degree
+        same = max(i for i in range(len(rows) - 1) if degrees[i] == degrees[-1])
+        dependent = PolyMatrix(m.vars, rows[:-1] + [[p * Fraction(-3, 7) for p in rows[same]]])
+        assert poly_det(dependent).is_zero and det_bareiss(dependent).is_zero
+        # a row that is not homogeneous takes Bareiss
+        bump = MultiPoly.variable("x", m.vars) if degrees[1] == 0 else MultiPoly.one(m.vars)
+        row = [p + bump * (j % 2) for j, p in enumerate(rows[1])]
+        assert len({sum(e) for p in row for e in p.terms}) == 2
+        mixed = PolyMatrix(m.vars, [rows[0], row] + rows[2:])
+        assert poly_det(mixed) == det_bareiss(mixed)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from fanocalc.errors import DegeneracyError, DomainError, SplitError
-from fanocalc.matrices import PolyMatrix, poly_det
+from fanocalc.grassmann import SkewFormPencil
+from fanocalc.matrices import PolyMatrix, det_bareiss, poly_det
 from fanocalc.polynomials import MultiPoly, projectively_equal, variables
 from fanocalc.quadrics import (
     NET_PARAMS,
@@ -13,6 +14,7 @@ from fanocalc.quadrics import (
     PlaneCurve,
     QuadricForm,
     QuadricNet,
+    QuadricPencil,
     build_net,
     common_subspace_p3o,
     determinantal_codim,
@@ -141,6 +143,45 @@ def test_build_net_random_is_valid():
     assert len(net.generators) == 3
 
 
+def sum_of_products(params, members):
+    """sum params[k] * members[k], entry by entry in MultiPoly arithmetic: how
+    the net and pencil matrices were built before they were built term by
+    term."""
+    gens = [MultiPoly.variable(v, params) for v in params]
+    return [
+        [
+            sum((g.entries[i][j] * s for g, s in zip(members, gens)), MultiPoly.zero(params))
+            for j in range(members[0].cols)
+        ]
+        for i in range(members[0].rows)
+    ]
+
+
+def test_net_and_pencil_matrices_equal_sums_of_products():
+    rng = random.Random(12)
+    assert pfaffian_pencil_canonical() is pfaffian_pencil_canonical()
+    for _ in range(3):
+        net = build_net(random_quadric(rng))
+        pencil = QuadricPencil(random_quadric(rng), random_quadric(rng))
+        skew = []
+        for _ in range(2):
+            grid = [[Fraction(0)] * 5 for _ in range(5)]
+            for i in range(5):
+                for j in range(i + 1, 5):
+                    grid[i][j] = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+                    grid[j][i] = -grid[i][j]
+            skew.append(PolyMatrix((), grid))
+        skew_pencil = SkewFormPencil(*skew)
+        for built, params, members in (
+            (net.matrix(), net.params, [g.gram for g in net.generators]),
+            (pencil.matrix(), pencil.params, [pencil.a.gram, pencil.b.gram]),
+            (skew_pencil.matrix(), skew_pencil.params, skew),
+        ):
+            reference = sum_of_products(params, members)
+            assert built.vars == params
+            assert [[p.terms for p in row] for row in built.entries] == [[p.terms for p in row] for row in reference]
+
+
 def test_determinantal_septic_degree():
     rng = random.Random(5)
     septic = determinantal_septic(build_net(random_quadric(rng)))
@@ -228,6 +269,24 @@ def test_septic_congruence_covariance():
     )
     moved_septic = poly_det(moved.matrix())
     assert moved_septic == septic * (dp * dp)
+
+
+def test_septic_determinant_divides_no_polynomial(monkeypatch):
+    # the septic's rows are linear forms, so poly_det interpolates integer
+    # point determinants and never calls MultiPoly.div_exact
+    net = build_net(random_quadric(random.Random(8)))
+    m = net.matrix()
+    calls = []
+    div_exact = MultiPoly.div_exact
+
+    def counted(self, divisor):
+        calls.append(divisor)
+        return div_exact(self, divisor)
+
+    monkeypatch.setattr(MultiPoly, "div_exact", counted)
+    septic = poly_det(m)
+    assert calls == []
+    assert septic == det_bareiss(m) and calls
 
 
 def test_septic_parameter_substitution_consistency():
