@@ -7,12 +7,14 @@ Usage:
 
 DIR is a checkout of the parent commit or of the change.  Pair i runs
 ``perfbench/run.py`` once in each checkout, parent first on even i and change
-first on odd i, and keeps the last two stdout lines of each run: provenance
-with details, and the result line.  The output file gets one entry per
-(workload, seed, trace) holding every run and, per end-to-end metric, each
-side's median and quartiles, the number of pairs the change won and the
-parent's interquartile range.  Other entries and keys already in the file
-are kept.
+first on odd i, and keeps the exit code, the wall seconds and the last two
+stdout lines of each run: provenance with details, and the result line.  The
+output file gets one entry per (workload, seed, trace) holding every run and,
+per end-to-end metric, each side's median and quartiles, the number of pairs
+the change won and the parent's interquartile range.  It also holds a
+description, the parent's revision and the change's (``git describe
+--always --dirty`` of each checkout, else the directory name).  Other
+entries and keys already in the file are kept.
 """
 
 from __future__ import annotations
@@ -22,9 +24,17 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+DESCRIPTION = (
+    "Alternating parent/change pairs of perfbench/run.py measured with scripts/bench_pairs.py "
+    "(each pair: exit code, wall seconds, provenance and result line of both checkouts; "
+    "per metric: medians, quartiles, wins and the parent's interquartile range). "
+    "Metric times are reference seconds (perfbench/speed.py)."
+)
 
 
 def run_once(checkout: Path, args) -> dict:
@@ -32,11 +42,25 @@ def run_once(checkout: Path, args) -> dict:
         sys.executable, "perfbench/run.py", "--workload", args.workload,
         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace),
     ]
+    start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     if len(lines) < 2:
         raise RuntimeError(f"perfbench/run.py in {checkout.name} exited {proc.returncode}: {proc.stderr[-500:]}")
-    return {"exit": proc.returncode, "provenance": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+    return {
+        "exit": proc.returncode,
+        "wall_seconds": round(seconds, 3),
+        "provenance": json.loads(lines[-2]),
+        "result": json.loads(lines[-1]),
+    }
+
+
+def revision(checkout: Path) -> str:
+    proc = subprocess.run(
+        ["git", "describe", "--always", "--dirty"], cwd=checkout, capture_output=True, text=True
+    )
+    return proc.stdout.strip() if proc.returncode == 0 else checkout.name
 
 
 def spread(values: list[float]) -> dict:
@@ -92,6 +116,9 @@ def main() -> int:
         print(json.dumps({side: pair[side]["result"]["metrics"] for side in SIDES}), flush=True)
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data.setdefault("description", DESCRIPTION)
+    data.setdefault("parent_rev", revision(args.parent))
+    data.setdefault("change", revision(args.change))
     key = f"{args.workload} seed={args.seed} trace={args.trace}"
     data.setdefault("runs", {})[key] = {
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed} "

@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Sample random quadric nets through the distinguished pencil over a range
 of seeds and tabulate how often the determinantal septic splits cleanly as
-the pencil line plus a squarefree sextic.
+the pencil line plus a squarefree sextic.  A net that does not is counted
+under the report's failure text (a vanishing determinant, a failed split),
+or as "repeated-intersection" when the sextic meets the line in a double
+point.
 
 Usage:
     python scripts/net_split_statistics.py [--seeds N] [--samples N]
@@ -29,10 +32,12 @@ def main() -> int:
             run = sample_net_split(rng)
             if run["ok"]:
                 outcomes["clean"] += 1
-            elif not run.get("line_intersection_distinct", True):
+            elif "failure" in run:
+                outcomes[run["failure"]] += 1
+            elif not run["line_intersection_distinct"]:
                 outcomes["repeated-intersection"] += 1
             else:
-                outcomes["degenerate"] += 1
+                outcomes["unexpected degree or count"] += 1
         overall.update(outcomes)
         print(f"seed {seed:3d}: {dict(outcomes)}")
     total = sum(overall.values())

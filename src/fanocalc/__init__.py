@@ -23,7 +23,7 @@ from .matrices import (
     poly_det,
     rank_over_fraction_field,
 )
-from .forms import binary_form_roots_squarefree, ideal_membership_truncated
+from .forms import binary_form_roots_squarefree
 from .grassmann import (
     SkewFormPencil,
     WedgePoint,
@@ -33,7 +33,6 @@ from .grassmann import (
     pencil_rank_certificate,
     plucker_embed,
     sigma_plane,
-    special_section_Yo,
     w_membership,
 )
 from .autw import (
@@ -103,7 +102,6 @@ __all__ = [
     "ga_element",
     "grassmann_membership",
     "group_closure_check",
-    "ideal_membership_truncated",
     "initial_state_x10",
     "kernel_over_fraction_field",
     "m_cubed_by_adjunction",
@@ -123,7 +121,6 @@ __all__ = [
     "rank_over_fraction_field",
     "septic_split",
     "sigma_plane",
-    "special_section_Yo",
     "variables",
     "vertex_curve",
     "w_membership",

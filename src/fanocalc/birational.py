@@ -84,10 +84,6 @@ class PicardState:
     def minus_k(self) -> tuple[int, ...]:
         return tuple(-x for x in self.canonical)
 
-    def unit(self, name: str) -> tuple[int, ...]:
-        idx = self.basis.index(name)
-        return tuple(1 if i == idx else 0 for i in range(self.rank))
-
     def table_row(self, d1: Sequence[int], d2: Sequence[int]) -> tuple[int, int, int, int]:
         """(d1^3, d1^2 d2, d1 d2^2, d2^3)."""
         return (

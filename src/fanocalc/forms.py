@@ -1,87 +1,9 @@
-"""Homogeneous-form utilities: truncated ideal membership and binary forms.
-
-Ideal membership here is the linear-algebra test: is f a combination
-sum(h_i * g_i) with every product of degree <= d?  For homogeneous data this
-is a single exact linear system in the coefficients of the h_i; no Groebner
-machinery is involved or wanted.
-"""
+"""Binary forms: the squarefree test on P^1."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations_with_replacement
-from typing import Sequence
-
 from .errors import DomainError
-from .matrices import PolyMatrix, rank_over_fraction_field
 from .polynomials import MultiPoly, poly_gcd
-
-
-def monomials_of_degree(vars: Sequence[str], degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of the given total degree, descending lex."""
-    n = len(vars)
-    if degree < 0:
-        return []
-    out = []
-    for bars in combinations_with_replacement(range(n), degree):
-        e = [0] * n
-        for b in bars:
-            e[b] += 1
-        out.append(tuple(e))
-    return sorted(set(out), reverse=True)
-
-
-def ideal_membership_truncated(
-    f: MultiPoly, gens: Sequence[MultiPoly], d: int | None = None
-) -> bool:
-    """True iff f = sum h_i g_i with deg(h_i g_i) <= d; exact linear algebra.
-
-    Requires homogeneous inputs.  For homogeneous f the membership can only
-    use the degree-deg(f) slice, so the cap d enters through d >= deg f.
-    The default cap is deg f + 2 (all uses here are quadric-generated ideals
-    tested on quadrics and cubics).
-    """
-    if not f.is_homogeneous():
-        raise DomainError("f must be homogeneous")
-    for g in gens:
-        if not g.is_homogeneous():
-            raise DomainError("every generator must be homogeneous")
-    if f.is_zero:
-        return True
-    e = f.total_degree()
-    if d is None:
-        d = e + 2
-    if d < e:
-        raise DomainError(f"degree cap {d} below deg f = {e}")
-    vs = f.vars
-    target_monos = monomials_of_degree(vs, e)
-    mono_index = {m: i for i, m in enumerate(target_monos)}
-    columns: list[list[Fraction]] = []
-    for g in gens:
-        g = g.lift(vs) if g.vars != vs else g
-        if g.is_zero:
-            continue
-        dg = g.total_degree()
-        if dg > e:
-            continue
-        for h_expo in monomials_of_degree(vs, e - dg):
-            col = [Fraction(0)] * len(target_monos)
-            for ge, gc in g.terms.items():
-                prod = tuple(x + y for x, y in zip(ge, h_expo))
-                col[mono_index[prod]] += gc
-            columns.append(col)
-    if not columns:
-        return False
-    rhs = [f.coefficient(m) for m in target_monos]
-    a = PolyMatrix((), [[columns[j][i] for j in range(len(columns))] for i in range(len(target_monos))])
-    aug = PolyMatrix(
-        (),
-        [
-            [columns[j][i] for j in range(len(columns))] + [rhs[i]]
-            for i in range(len(target_monos))
-        ],
-    )
-    return rank_over_fraction_field(a) == rank_over_fraction_field(aug)
 
 
 def binary_form_roots_squarefree(f: MultiPoly) -> tuple[int, bool]:

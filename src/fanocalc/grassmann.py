@@ -104,9 +104,6 @@ class WedgePoint:
             return -self.coords[WEDGE_INDEX[(j, i)]]
         raise DomainError("no diagonal wedge coordinate")
 
-    def normalized(self) -> "WedgePoint":
-        return WedgePoint(normalize_projective(self.coords))
-
     def proj_eq(self, other: "WedgePoint") -> bool:
         return projectively_equal(self.coords, other.coords)
 
@@ -166,13 +163,6 @@ def p7_membership(p: WedgePoint) -> bool:
 
 def w_membership(p: WedgePoint) -> bool:
     return grassmann_membership(p) and p7_membership(p)
-
-
-def special_section_Yo(p: WedgePoint) -> bool:
-    """x34 = 0 cut of W; input must lie on W."""
-    if not w_membership(p):
-        raise DomainError("point is not on W")
-    return is_zero(p.coord(3, 4))
 
 
 # -- the skew pencil cutting out the 7-space -------------------------------

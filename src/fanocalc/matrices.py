@@ -1,10 +1,9 @@
 """Matrices over the polynomial ring: exact determinants, rank, kernels.
 
-Determinants run through three routes:
-- cofactor expansion below size 5;
-- from size 5 up, when every row is homogeneous: exact interpolation from
-  integer determinants at the points of a triangular grid, whose size the
-  degrees fix (no step samples anything);
+Determinants run through two routes:
+- when there are variables and every row is homogeneous: exact
+  interpolation from integer determinants at the points of a triangular
+  grid, whose size the degrees fix (no step samples anything);
 - fraction-free (Bareiss) elimination otherwise, and for matrices without
   variables.
 
@@ -170,40 +169,6 @@ def linear_family(params: Sequence[str], members: Sequence[PolyMatrix]) -> PolyM
 # -- determinants ----------------------------------------------------------
 
 
-def det_cofactor(m: PolyMatrix) -> MultiPoly:
-    """Determinant by cofactor expansion (memoized over column subsets)."""
-    if not m.is_square:
-        raise DimensionError("determinant of a non-square matrix")
-    n = m.rows
-    zero = MultiPoly.zero(m.vars)
-    if n == 0:
-        return MultiPoly.one(m.vars)
-    cache: dict[tuple[int, ...], MultiPoly] = {}
-
-    def minor(cols: tuple[int, ...]) -> MultiPoly:
-        # expansion along the first row not yet consumed; memoized on the
-        # surviving column set
-        if cols in cache:
-            return cache[cols]
-        row = n - len(cols)
-        if len(cols) == 1:
-            result = m.entries[row][cols[0]]
-        else:
-            result = zero
-            sign = 1
-            for pos, c in enumerate(cols):
-                a = m.entries[row][c]
-                if not a.is_zero:
-                    rest = cols[:pos] + cols[pos + 1 :]
-                    term = a * minor(rest)
-                    result = result + (term if sign > 0 else -term)
-                sign = -sign
-        cache[cols] = result
-        return result
-
-    return minor(tuple(range(n)))
-
-
 def _eliminate(m: PolyMatrix) -> tuple[list[int], list[int], int, MultiPoly]:
     """Fraction-free (Bareiss) forward elimination of m over Q(vars).
 
@@ -357,7 +322,11 @@ def _det_by_interpolation(m: PolyMatrix, degree: int) -> MultiPoly:
             for t in range(j, len(line) - 1):
                 values[line[t]] -= j * values[line[t + 1]]
     terms = {}
-    for point, c in values.items():
+    # leading term first (descending grlex): the gcd's content loop then meets
+    # the coefficient of the top power of v1 first, which for a binary form is
+    # a constant and ends the loop
+    for point in reversed(grid):
+        c = values[point]
         if c:
             q, r = divmod(c, scale)
             terms[point + (degree - sum(point),)] = Fraction(c, scale) if r else q
@@ -365,12 +334,10 @@ def _det_by_interpolation(m: PolyMatrix, degree: int) -> MultiPoly:
 
 
 def poly_det(m: PolyMatrix) -> MultiPoly:
-    """Exact determinant: cofactors below size 5; from 5 up, interpolation
-    at integer points when every row is homogeneous, else Bareiss."""
+    """Exact determinant: interpolation at integer points when there are
+    variables and every row is homogeneous, else Bareiss."""
     if not m.is_square:
         raise DimensionError("determinant of a non-square matrix")
-    if m.rows < 5:
-        return det_cofactor(m)
     if not m.vars:
         return det_bareiss(m)
     degree = 0

@@ -22,7 +22,7 @@ from importlib import resources
 from typing import Callable
 
 from . import autw, birational, quadrics, schubert
-from .errors import DomainError
+from .errors import ConstraintError, DomainError
 from .grassmann import (
     WedgePoint,
     canonical_pencil,
@@ -218,10 +218,20 @@ def scenario_rank_certificates(ctx: Context) -> Report:
     return rep
 
 
+def _pinned_vector(ctx: Context, claim: str) -> tuple[MultiPoly, ...]:
+    """The golden pin of claim read as a polynomial vector; a malformed pin
+    is a DomainError."""
+    value = ctx.pinned(claim)
+    try:
+        return vector_from_json(value)
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise DomainError(f"golden claim {claim!r} is malformed: {exc}") from exc
+
+
 def scenario_conic_of_centers(ctx: Context) -> Report:
     rep = Report("conic-of-centers", ctx.seed, ctx.samples)
     kernel = conic_of_centers(canonical_pencil())
-    display = vector_from_json(ctx.pinned("conic_of_centers.kernel_display"))
+    display = _pinned_vector(ctx, "conic_of_centers.kernel_display")
     ctx.check(
         rep,
         "conic_of_centers.kernel_display",
@@ -311,7 +321,7 @@ def scenario_autw_p7(ctx: Context) -> Report:
     try:
         autw.assemble(1, [[1, 0], [0, 0], [0, 0]], [[1, 0], [0, 1]])
         rejected = False
-    except Exception:
+    except ConstraintError:
         rejected = True
     ctx.check(rep, "autw.violating_element_rejected", rejected)
     if ctx.input_data and "elements" in ctx.input_data:
@@ -517,14 +527,6 @@ def _min_success_fraction(ctx: Context):
     return value
 
 
-def _vertex_curve_display(ctx: Context):
-    value = ctx.pinned("quadrics.vertex_curve_display")
-    try:
-        return vector_from_json(value)
-    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
-        raise DomainError(f"golden claim 'quadrics.vertex_curve_display' is malformed: {exc}") from exc
-
-
 def scenario_node_projection(ctx: Context) -> Report:
     rep = Report("node-projection", ctx.seed, ctx.samples)
     ctx.check(rep, "node.line_count", 6, note="input constant: lines through the node")
@@ -546,7 +548,7 @@ def scenario_node_projection(ctx: Context) -> Report:
     ctx.check(
         rep,
         "quadrics.vertex_curve_display",
-        projectively_equal(curve, _vertex_curve_display(ctx)),
+        projectively_equal(curve, _pinned_vector(ctx, "quadrics.vertex_curve_display")),
         True,
         note="projective comparison against the pinned twisted cubic",
     )

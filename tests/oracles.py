@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Nothing here may call the code paths under test: determinants come from the
-Leibniz sum, Littlewood-Richardson coefficients from explicit tableau
-enumeration, bivector ranks from plain rational Gaussian elimination.
+Leibniz sum or from cofactor expansion, Littlewood-Richardson coefficients
+from explicit tableau enumeration, bivector ranks from plain rational
+Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
+from fanocalc.errors import DimensionError
 from fanocalc.matrices import PolyMatrix
 from fanocalc.polynomials import MultiPoly
 
@@ -24,15 +26,12 @@ def perm_sign(perm: tuple[int, ...]) -> int:
 
 
 def leibniz_det(entries) -> MultiPoly:
-    """Determinant as the full permutation sum (use only for n <= 5)."""
+    """Determinant as the full permutation sum (use only for n <= 6).
+
+    The ring is the first non-empty ring of a MultiPoly entry; plain
+    rationals and constants of other rings are lifted into it."""
     n = len(entries)
-    vs = None
-    for row in entries:
-        for x in row:
-            if isinstance(x, MultiPoly) and not x.is_constant:
-                vs = x.vars
-    if vs is None:
-        vs = ()
+    vs = next((x.vars for row in entries for x in row if isinstance(x, MultiPoly) and x.vars), ())
     grid = [
         [x if isinstance(x, MultiPoly) else MultiPoly.constant(x, vs) for x in row]
         for row in entries
@@ -45,6 +44,40 @@ def leibniz_det(entries) -> MultiPoly:
             term = term * grid[i][perm[i]]
         total = total + term
     return total
+
+
+def det_cofactor(m: PolyMatrix) -> MultiPoly:
+    """Determinant by cofactor expansion (memoized over column subsets)."""
+    if not m.is_square:
+        raise DimensionError("determinant of a non-square matrix")
+    n = m.rows
+    zero = MultiPoly.zero(m.vars)
+    if n == 0:
+        return MultiPoly.one(m.vars)
+    cache: dict[tuple[int, ...], MultiPoly] = {}
+
+    def minor(cols: tuple[int, ...]) -> MultiPoly:
+        # expansion along the first row not yet consumed; memoized on the
+        # surviving column set
+        if cols in cache:
+            return cache[cols]
+        row = n - len(cols)
+        if len(cols) == 1:
+            result = m.entries[row][cols[0]]
+        else:
+            result = zero
+            sign = 1
+            for pos, c in enumerate(cols):
+                a = m.entries[row][c]
+                if not a.is_zero:
+                    rest = cols[:pos] + cols[pos + 1 :]
+                    term = a * minor(rest)
+                    result = result + (term if sign > 0 else -term)
+                sign = -sign
+        cache[cols] = result
+        return result
+
+    return minor(tuple(range(n)))
 
 
 def identity_matrix(n: int, vars=()) -> PolyMatrix:

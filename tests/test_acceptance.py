@@ -19,10 +19,10 @@ from fanocalc.grassmann import (
     pencil_rank_certificate,
     tangent_wedge,
 )
-from fanocalc.matrices import PolyMatrix, det_bareiss, det_cofactor
+from fanocalc.matrices import PolyMatrix, det_bareiss
 from fanocalc.polynomials import MultiPoly, projectively_equal, variables
 
-from oracles import lr_multiply
+from oracles import det_cofactor, lr_multiply
 from test_matrices import random_poly_matrix
 
 

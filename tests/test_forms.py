@@ -1,55 +1,8 @@
 import pytest
 
 from fanocalc.errors import DomainError
-from fanocalc.forms import binary_form_roots_squarefree, ideal_membership_truncated, monomials_of_degree
+from fanocalc.forms import binary_form_roots_squarefree
 from fanocalc.polynomials import MultiPoly, variables
-
-
-W = ("x03", "x04", "x14", "x23")
-x03, x04, x14, x23 = variables(W)
-H0 = x03 - x14
-H1 = x04 - x23
-
-
-def test_generator_is_member():
-    assert ideal_membership_truncated(H0, [H0, H1], 1)
-    assert ideal_membership_truncated(H1, [H0, H1], 3)
-
-
-def test_combination_is_member():
-    f = (x03 + x04) * H0 - 2 * H1 * x23
-    assert f.is_homogeneous()
-    assert ideal_membership_truncated(f, [H0, H1], 2)
-
-
-def test_non_member():
-    assert not ideal_membership_truncated(x03, [H0, H1], 1)
-    assert not ideal_membership_truncated(x03 * x04, [H0 * H1], 2)
-
-
-def test_monotone_in_degree_cap():
-    f = x03 * H0
-    for d in (2, 3, 4):
-        assert ideal_membership_truncated(f, [H0, H1], d)
-
-
-def test_requires_homogeneous():
-    with pytest.raises(DomainError):
-        ideal_membership_truncated(x03 + 1, [H0], 2)
-    with pytest.raises(DomainError):
-        ideal_membership_truncated(x03, [H0 + 1], 2)
-    with pytest.raises(DomainError):
-        ideal_membership_truncated(x03 * x03, [H0], 1)
-
-
-def test_zero_is_member():
-    assert ideal_membership_truncated(MultiPoly.zero(W), [H0], 5)
-
-
-def test_monomials_of_degree():
-    mons = monomials_of_degree(("a", "b"), 2)
-    assert set(mons) == {(2, 0), (1, 1), (0, 2)}
-    assert monomials_of_degree(("a",), 0) == [(0,)]
 
 
 def test_binary_form_squarefree_examples():

@@ -20,12 +20,11 @@ from fanocalc.grassmann import (
     plucker_embed,
     sigma_center,
     sigma_plane,
-    special_section_Yo,
     tangent_wedge,
     w_membership,
 )
 from fanocalc.matrices import PolyMatrix
-from fanocalc.polynomials import MultiPoly, plain, projectively_equal, variables
+from fanocalc.polynomials import MultiPoly, is_zero, plain, projectively_equal, variables
 
 from oracles import bivector_rank
 
@@ -224,8 +223,7 @@ def test_sigma_plane_symbolic_membership():
     plane = sigma_plane(t0, t1)
     point = plane.wedge_points([al, be, ga, de])
     assert w_membership(point)
-    assert point.coord(3, 4).is_zero
-    assert special_section_Yo(point)
+    assert is_zero(point.coord(3, 4))
 
 
 def test_sigma_plane_endpoints():
@@ -281,13 +279,6 @@ def test_rho_plane_points_on_w():
     point = PlaneOnW(kind="rho").wedge_points([p, q, r])
     assert w_membership(point)
     assert point.in_rho_plane_span()
-
-
-def test_special_section_examples():
-    assert special_section_Yo(WedgePoint.basis_vector(1, 3))
-    assert not special_section_Yo(WedgePoint.basis_vector(3, 4))
-    with pytest.raises(DomainError):
-        special_section_Yo(WedgePoint.basis_vector(0, 3))
 
 
 def test_wedge_point_validation():

@@ -11,7 +11,6 @@ from fanocalc.matrices import (
     PolyMatrix,
     _eliminate,
     det_bareiss,
-    det_cofactor,
     is_nonzero_constant,
     kernel_over_fraction_field,
     minor_gcd,
@@ -20,7 +19,7 @@ from fanocalc.matrices import (
 )
 from fanocalc.polynomials import MultiPoly, variables
 
-from oracles import evaluate, identity_matrix, leibniz_det, perm_sign, rational_matrix_rank
+from oracles import det_cofactor, evaluate, identity_matrix, leibniz_det, perm_sign, rational_matrix_rank
 
 
 def random_poly_matrix(rng, n, nvars=3, max_deg=2):
@@ -330,19 +329,22 @@ def forms(vs, degree, den):
 
 @st.composite
 def det_cases(draw):
-    """An n x n matrix over Q[x], Q[x, y] or Q[x, y, z], n = 5, 6, 7, whose
+    """An n x n matrix over Q[x], Q[x, y] or Q[x, y, z], n = 0 to 7, whose
     rows are forms of degree 0, 1 or 2 in each entry, over 1, 1/2 or 1/7.
     At most one row is special: the zero row, a rational combination of two
-    other rows (the determinant vanishes), or entries of two different
-    degrees (the row is not homogeneous, so Bareiss runs)."""
+    other rows (the determinant vanishes from n = 3 up), or entries of two
+    different degrees (from n = 2 up the row is not homogeneous, so Bareiss
+    runs)."""
     k = draw(st.integers(1, 3))
-    n = draw(st.integers(5, 7))
+    n = draw(st.integers(0, 7))
     vs = VARS[:k]
     rows = []
     for _ in range(n):
         den = draw(st.sampled_from((1, 2, 7)))
         degree = draw(st.integers(0, 2 if n < 7 else 1))
         rows.append([draw(forms(vs, degree, den)) for _ in range(n)])
+    if n == 0:
+        return PolyMatrix(vs, rows)
     special = draw(st.sampled_from((None, "zero", "dependent", "mixed")))
     pos = draw(st.integers(0, n - 1))
     if special == "zero":
@@ -357,15 +359,21 @@ def det_cases(draw):
     return PolyMatrix(vs, rows)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(det_cases())
 def test_poly_det_matches_bareiss_and_leibniz(m):
     det = poly_det(m)
     assert det == det_bareiss(m)
-    if m.rows <= 6:
-        # the oracle takes the ring from its non-constant entries
-        plain_constants = [[p.constant_value() if p.is_constant else p for p in row] for row in m.entries]
-        assert det == leibniz_det(plain_constants)
+    if 1 <= m.rows <= 6:
+        assert det == leibniz_det(m.entries)
+    if m.rows <= 4:
+        assert det == det_cofactor(m)
+
+
+def test_leibniz_det_takes_the_ring_of_constant_entries():
+    (x,) = variables("x")
+    assert leibniz_det(identity_matrix(5, ("x",)).entries) == MultiPoly.one(("x",))
+    assert leibniz_det([[2, x], [MultiPoly.constant(3, ()), 1]]) == 2 - 3 * x
 
 
 def homogeneous_row_matrix(rng, degrees, dens, nvars=3):

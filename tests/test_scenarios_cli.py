@@ -1,9 +1,10 @@
 import hashlib
 import json
+import random
 
 import pytest
 
-from fanocalc import quadrics
+from fanocalc import autw, quadrics
 from fanocalc.cli import main
 from fanocalc.errors import DomainError
 from fanocalc.serialize import poly_to_json
@@ -98,19 +99,27 @@ def test_cli_run_text_and_json(capsys):
     assert data["status"] == "pass"
 
 
+POINTS_DESCRIPTOR = {
+    "points": [
+        {
+            "coords": ["0", "0", "0", "0", "0", "0", "0", "0", "0", "1"],
+            "grassmann": True,
+            "p7": True,
+            "w": True,
+        }
+    ]
+}
+
+ELEMENTS_DESCRIPTOR = {
+    "elements": [
+        {"lambda": "2", "G": ["1", "0", "0", "1"], "U": ["0", "0", "0", "0", "0", "0"]}
+    ]
+}
+
+
 def test_cli_membership_input_descriptor(tmp_path, capsys):
-    descriptor = {
-        "points": [
-            {
-                "coords": ["0", "0", "0", "0", "0", "0", "0", "0", "0", "1"],
-                "grassmann": True,
-                "p7": True,
-                "w": True,
-            }
-        ]
-    }
     path = tmp_path / "points.json"
-    path.write_text(json.dumps(descriptor))
+    path.write_text(json.dumps(POINTS_DESCRIPTOR))
     assert main(["run", "membership-checks", "--input", str(path)]) == 0
     out = capsys.readouterr().out
     assert "membership.point0.w" in out
@@ -134,11 +143,14 @@ def run_net_descriptor(tmp_path, capsys, net, fmt="json") -> tuple[int, str, str
     return code, captured.out, captured.err
 
 
-def test_cli_net_input_descriptor(tmp_path, capsys):
-    import random
-
+def valid_net():
+    """The canonical pencil and a random quadric: a net that splits."""
     pen = quadrics.pfaffian_pencil_canonical()
-    net = [doubled(pen.a), doubled(pen.b), doubled(quadrics.random_quadric(random.Random(2)))]
+    return [doubled(pen.a), doubled(pen.b), doubled(quadrics.random_quadric(random.Random(2)))]
+
+
+def test_cli_net_input_descriptor(tmp_path, capsys):
+    net = valid_net()
     code, out, _ = run_net_descriptor(tmp_path, capsys, net)
     assert code == 0
     steps = json.loads(out)["steps"]
@@ -260,17 +272,91 @@ def test_report_all_json_is_byte_identical_to_pinned_digest(capsys):
     assert hashlib.sha256(out).hexdigest() == REPORT_ALL_JSON_SHA256
 
 
+#: (argv, stdout byte length, stdout sha256, exit code) of the report-all and
+#: --input runs; {name} in argv is the path of that input descriptor.  As
+#: above, a change that alters a report must say why and pin the new values.
+STDOUT_TABLE = [
+    (
+        ["report-all", "--seed", "0", "--samples", "20", "--format", "json"],
+        20602,
+        "aff445747a1f63899cd3136e7fdc71f9c6dc79d625d32fe6f32fd96c5d859f1f",
+        0,
+    ),
+    (
+        ["report-all", "--seed", "0", "--samples", "20", "--format", "text"],
+        8273,
+        "ce31c64b39c6af5fd0d1543e14089bb41b8e56fb0feb08f228755f9fec38f99e",
+        0,
+    ),
+    (
+        ["report-all", "--seed", "1", "--samples", "20", "--format", "json"],
+        20602,
+        "86ded30b25f2c408f1e9d220b0ced0c7a7e8ce3a99451a8290aec202384d8877",
+        0,
+    ),
+    (
+        ["report-all", "--seed", "1", "--samples", "20", "--format", "text"],
+        8273,
+        "543001ad1bb3b7c3c2655b4fd507c959d7c359ca937706c690d30319f4f734df",
+        0,
+    ),
+    (
+        ["run", "determinantal-split", "--input", "{net}", "--format", "json"],
+        1343,
+        "c83eaede1e28087c2b579d406850e71f9b77063a7df27325fd923f45d66ca8e8",
+        0,
+    ),
+    (
+        ["run", "membership-checks", "--input", "{points}"],
+        219,
+        "c0c1407813cf2645b1d05be034f4cf538e98ec49b903c78537f93dcc1490c96f",
+        0,
+    ),
+    (
+        ["run", "aut-w-p7", "--input", "{elements}"],
+        293,
+        "602e644d877f19863adc2b7a25fedd0c9c13b4434b7f73ab4b713a1de2c74b49",
+        0,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, length, digest, exit_code", STDOUT_TABLE, ids=[" ".join(row[0]) for row in STDOUT_TABLE]
+)
+def test_stdout_is_byte_identical_to_pinned_table(argv, length, digest, exit_code, tmp_path, capsys):
+    descriptors = {"net": {"net": valid_net()}, "points": POINTS_DESCRIPTOR, "elements": ELEMENTS_DESCRIPTOR}
+    paths = {}
+    for name, descriptor in descriptors.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(descriptor))
+    code = main([arg.format(**paths) for arg in argv])
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest(), code) == (length, digest, exit_code)
+
+
 def test_element_inline_descriptor(tmp_path, capsys):
-    descriptor = {
-        "elements": [
-            {"lambda": "2", "G": ["1", "0", "0", "1"], "U": ["0", "0", "0", "0", "0", "0"]}
-        ]
-    }
     path = tmp_path / "elements.json"
-    path.write_text(json.dumps(descriptor))
+    path.write_text(json.dumps(ELEMENTS_DESCRIPTOR))
     assert main(["run", "aut-w-p7", "--input", str(path)]) == 0
     out = capsys.readouterr().out
     assert "input_element_0" in out
+
+
+def test_violating_element_claim_needs_a_constraint_error(monkeypatch):
+    # only the defining-constraint error counts as a rejection; an unrelated
+    # error leaves the scenario instead of passing the claim
+    assemble = autw.assemble
+    violating = (1, [[1, 0], [0, 0], [0, 0]], [[1, 0], [0, 1]])
+
+    def broken(*args, **kwargs):
+        if args == violating:
+            raise TypeError("unrelated programming error")
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(autw, "assemble", broken)
+    with pytest.raises(TypeError, match="unrelated programming error"):
+        run_scenario("aut-w-p7", Context(samples=1))
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -396,6 +482,8 @@ def _with_pin(claim, value):
         (_with_pin("quadrics.vertex_curve_display", "t0^3"), "vertex_curve_display' is malformed", "node-projection"),
         (_with_pin("quadrics.vertex_curve_display", [1, 2]), "vertex_curve_display' is malformed", "node-projection"),
         (_with_pin("quadrics.vertex_curve_display", [{"terms": []}]), "vertex_curve_display' is malformed", "node-projection"),
+        (_with_pin("conic_of_centers.kernel_display", "oops"), "kernel_display' is malformed", "conic-of-centers"),
+        (_with_pin("conic_of_centers.kernel_display", [{"terms": []}]), "kernel_display' is malformed", "conic-of-centers"),
     ],
     ids=[
         "missing-file",
@@ -407,6 +495,8 @@ def _with_pin(claim, value):
         "string-display",
         "number-display",
         "keyless-display",
+        "string-kernel",
+        "keyless-kernel",
     ],
 )
 def test_malformed_golden_file_is_a_usage_error(content, message, scenario, route, tmp_path, monkeypatch, capsys):
