@@ -8,10 +8,14 @@ Usage:
 DIR is a checkout of the parent commit or of the change.  Pair i runs
 ``perfbench/run.py`` once in each checkout, parent first on even i and change
 first on odd i, and keeps the exit code, the wall seconds and the last two
-stdout lines of each run: provenance with details, and the result line.  The
-output file gets one entry per (workload, seed, trace) holding every run and,
-per end-to-end metric, each side's median and quartiles, the number of pairs
-the change won and the parent's interquartile range.  It also holds a
+stdout lines of each run: provenance with details, and the result line.  A
+run that prints no such lines (a crash or a timeout) keeps the last 2000
+characters of its stderr instead.  The output file gets one entry per
+(workload, seed, trace) holding every run and, per end-to-end metric, each
+side's median and quartiles, the number of pairs the change won and the
+parent's interquartile range, over the pairs where both runs have a result.
+The file is always written; the exit code is 1 unless every run exited 0
+with a result.  It also holds a
 description, the parent's revision and the change's (``git describe
 --always --dirty`` of each checkout, else the directory name).  Other
 entries and keys already in the file are kept.
@@ -45,15 +49,13 @@ def run_once(checkout: Path, args) -> dict:
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     seconds = time.perf_counter() - start
+    run = {"exit": proc.returncode, "wall_seconds": round(seconds, 3)}
     lines = proc.stdout.strip().splitlines()
-    if len(lines) < 2:
-        raise RuntimeError(f"perfbench/run.py in {checkout.name} exited {proc.returncode}: {proc.stderr[-500:]}")
-    return {
-        "exit": proc.returncode,
-        "wall_seconds": round(seconds, 3),
-        "provenance": json.loads(lines[-2]),
-        "result": json.loads(lines[-1]),
-    }
+    try:
+        run["provenance"], run["result"] = (json.loads(line) for line in lines[-2:])
+    except ValueError:
+        run["stderr"] = proc.stderr[-2000:]
+    return run
 
 
 def revision(checkout: Path) -> str:
@@ -71,6 +73,9 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    pairs = [p for p in pairs if all("result" in p[side] for side in SIDES)]
+    if not pairs:
+        return {}
     names = pairs[0]["parent"]["result"]["metrics"]
     out = {}
     for name in names:
@@ -113,7 +118,8 @@ def main() -> int:
         for side in order:
             pair[side] = run_once(getattr(args, side), args)
         pairs.append(pair)
-        print(json.dumps({side: pair[side]["result"]["metrics"] for side in SIDES}), flush=True)
+        progress = {side: pair[side]["result"]["metrics"] if "result" in pair[side] else pair[side] for side in SIDES}
+        print(json.dumps(progress), flush=True)
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("description", DESCRIPTION)
@@ -127,7 +133,7 @@ def main() -> int:
         "pairs": pairs,
     }
     args.out.write_text(json.dumps(data, indent=1) + "\n")
-    return 0 if all(p[side]["exit"] == 0 for p in pairs for side in SIDES) else 1
+    return 0 if all(p[side]["exit"] == 0 and "result" in p[side] for p in pairs for side in SIDES) else 1
 
 
 if __name__ == "__main__":

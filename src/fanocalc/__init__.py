@@ -8,9 +8,7 @@ is computed over Q with no floating point anywhere.
 """
 
 from .polynomials import (
-    Fraction,
     MultiPoly,
-    RationalScalar,
     normalize_projective,
     poly_gcd,
     projectively_equal,
@@ -74,14 +72,12 @@ __all__ = [
     "AutWElement",
     "CurveData",
     "FloppedCurve",
-    "Fraction",
     "MultiPoly",
     "OrbitLabel",
     "PicardState",
     "PolyMatrix",
     "QuadricForm",
     "QuadricNet",
-    "RationalScalar",
     "SchubertClass",
     "SkewFormPencil",
     "WedgePoint",

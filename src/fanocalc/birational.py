@@ -6,10 +6,10 @@ Blow-ups of a curve or of a node, unimodular basis changes, flops across
 finitely many canonical-degree-zero curves, and the contraction of a ruled
 divisor to a curve each produce a new state; nothing mutates.
 
-The counts of curves entering the flops (11 lines meeting a general line,
-20 lines / one involutive conic / two special conics meeting a general
-conic, 6 lines through a node) are inputs, not computed here: enumerating
-curves on a specific threefold is out of scope.
+The counts of curves entering the flops are inputs, not computed here:
+enumerating curves on a specific threefold is out of scope.  Each is stated
+once, as LINES_MEETING_A_LINE, LINES_MEETING_A_CONIC and LINES_THROUGH_THE_NODE;
+each pipeline reports the length of the list of lines it flops.
 """
 
 from __future__ import annotations
@@ -19,6 +19,13 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .errors import DimensionError, DomainError, NotAFlopError
+
+#: K-trivial lines meeting a general line of the degree-10 threefold.
+LINES_MEETING_A_LINE = 11
+#: Lines meeting a general conic.
+LINES_MEETING_A_CONIC = 20
+#: Lines through the node of a nodal degree-10 threefold.
+LINES_THROUGH_THE_NODE = 6
 
 
 @dataclass(frozen=True)
@@ -274,11 +281,21 @@ def curve_divisor_intersection(
 # the reference.
 
 
+def _lines(count: int, intersections: tuple[int, int]) -> list[FloppedCurve]:
+    """The lines l1, ..., l<count>, each with the given intersection vector."""
+    return [FloppedCurve(label=f"l{i}", intersections=intersections) for i in range(1, count + 1)]
+
+
 def scenario_line_transform(check: Callable[..., object]) -> None:
     """Blow up a line, rebase to (-K, M), flop the 11 K-trivial lines, and
     contract: the image is again a degree-10 threefold and the center maps
     to a line."""
+    # the lines meeting the center line: H*.C = 1, E.C = 1
+    # in the (-K, M) basis: -K.C = 0, M.C = -1
+    curves = _lines(LINES_MEETING_A_LINE, (0, -1))
+    check("line.curve_count", len(curves), note="input constant: lines meeting a general line")
     x = initial_state_x10()
+    check("line.genus", genus_from_anticanonical_cube(x))
     check("line.initial_H3", x.basis_table()[0])
     line = CurveData(genus=0, h_degree=1, k_degree=-1, label="line")
     xp = blow_up_curve(x, line)
@@ -286,13 +303,8 @@ def scenario_line_transform(check: Callable[..., object]) -> None:
     # -K' = H* - E, M' = H* - 2E
     reb = change_basis(xp, [[1, -1], [1, -2]], ("-K", "M"))
     check("line.rebased_table", reb.basis_table(), note="basis (-K, M)")
-    # 11 lines meeting the center line: H*.C = 1, E.C = 1
-    # in the (-K, M) basis: -K.C = 0, M.C = -1
-    curves = [
-        FloppedCurve(label=f"l{i}", intersections=(0, -1)) for i in range(1, 12)
-    ]
     flopped = apply_flop(reb, curves)
-    check("line.flopped_table", flopped.basis_table(), note="basis (-K, M), 11 flopped curves")
+    check("line.flopped_table", flopped.basis_table(), note=f"basis (-K, M), {len(curves)} flopped curves")
     m_adj = m_cubed_by_adjunction(flopped, (0, 1))
     check("line.M3_adjunction", m_adj)
     check(
@@ -315,6 +327,9 @@ def scenario_conic_transform(check: Callable[..., object]) -> None:
     validated through the adjunction route; the naive per-curve correction
     over the full degeneration list is recorded for comparison but carries
     no verification weight (two of those curves are not (-1,-1)-curves)."""
+    # the lines meeting the conic once: (H*.C, E.C) = (1, 1) -> M.C = -1
+    lines = _lines(LINES_MEETING_A_CONIC, (0, -1))
+    check("conic.curve_count_lines", len(lines), note="input constant: lines meeting a general conic")
     x = initial_state_x10()
     conic = CurveData(genus=0, h_degree=2, k_degree=-2, label="conic")
     xp = blow_up_curve(x, conic)
@@ -323,12 +338,9 @@ def scenario_conic_transform(check: Callable[..., object]) -> None:
     check("conic.rebased_table", reb.basis_table(), note="basis (-K, M)")
     m_adj = m_cubed_by_adjunction(reb, (0, 1))
     check("conic.M3_adjunction", m_adj)
-    # K-trivial exceptional curves over the projected image:
-    #   20 lines meeting the conic once: (H*.C, E.C) = (1, 1) -> M.C = -1
-    #   the involutive conic meeting it twice: (2, 2) -> M.C = -2
-    k_trivial = [
-        FloppedCurve(label=f"l{i}", intersections=(0, -1)) for i in range(1, 21)
-    ] + [FloppedCurve(label="q~", intersections=(0, -2))]
+    # K-trivial exceptional curves over the projected image: the lines and
+    # the involutive conic meeting the center twice: (2, 2) -> M.C = -2
+    k_trivial = lines + [FloppedCurve(label="q~", intersections=(0, -2))]
     flopped = apply_flop(reb, k_trivial)
     check(
         "conic.flopped_table",
@@ -355,6 +367,9 @@ def scenario_conic_transform(check: Callable[..., object]) -> None:
 def scenario_node_projection(check: Callable[..., object]) -> None:
     """Blow up a node: the projected image is a degree-8 threefold; the
     genus-one quartics through the node define the conic-bundle fibers."""
+    # the lines through the node: (H*.C, E.C) = (1, 1)
+    curves = _lines(LINES_THROUGH_THE_NODE, (1, 1))
+    check("node.line_count", len(curves), note="input constant: lines through the node")
     x = initial_state_x10()
     xp = blow_up_node(x)
     check("node.E3", xp.basis_table()[3])
@@ -364,8 +379,6 @@ def scenario_node_projection(check: Callable[..., object]) -> None:
         "node.degree_drop",
         x.triple_product((1,), (1,), (1,)) - xp.triple_product(mk, mk, mk),
     )
-    # six lines through the node: (H*.C, E.C) = (1, 1)
-    curves = [FloppedCurve(label=f"l{i}", intersections=(1, 1)) for i in range(1, 7)]
     for c in curves:
         check(f"node.K_trivial_{c.label}", k_degree_of_curve(xp, c), 0)
     flopped = apply_flop(xp, curves)

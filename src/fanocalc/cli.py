@@ -8,9 +8,11 @@ Subcommands:
 
 Exit codes: 0 all pass, 1 verification failure, 2 usage error (bad
 arguments, an unknown scenario, --samples below 1, an --input descriptor
-that cannot be read, or a golden file that cannot be read or lacks a claim
-a scenario needs).  The flag --strict demotes "partial" (soft-step
-failures only) to a failure.  For a saved report, redirect
+that cannot be read or checks nothing, or a golden file that cannot be read
+or lacks a claim a scenario needs), 3 internal error (any other exception:
+its traceback goes to stderr, which ends with one line
+"internal error: <Type>: <message>").  The flag --strict demotes "partial"
+(soft-step failures only) to a failure.  For a saved report, redirect
 `fanocalc report-all --format json` to a file.
 """
 
@@ -19,12 +21,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .errors import DomainError
 from .scenarios import Context, Report, catalog, load_golden, run_scenario
 
 USAGE_ERROR = 2
 VERIFICATION_ERROR = 1
+INTERNAL_ERROR = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,19 +70,15 @@ def _read_descriptor(path: str | None) -> dict | None:
     return data
 
 
-def _print_report(report: Report, fmt: str, stream=None) -> None:
-    stream = stream or sys.stdout
+def _print_report(report: Report, fmt: str) -> None:
     if fmt == "json":
-        json.dump(report.to_json(), stream, indent=2, default=str)
-        stream.write("\n")
+        print(json.dumps(report.to_json(), indent=2, default=str))
         return
-    stream.write(f"== {report.scenario} (seed {report.seed}, samples {report.samples}): {report.status}\n")
+    print(f"== {report.scenario} (seed {report.seed}, samples {report.samples}): {report.status}")
     for step in report.steps:
         mark = "ok " if step.passed else ("~~ " if step.soft else "FAIL")
         note = f"  [{step.note}]" if step.note else ""
-        stream.write(
-            f"  {mark} {step.claim}: computed {step.computed!r}, pinned {step.expected!r}{note}\n"
-        )
+        print(f"  {mark} {step.claim}: computed {step.computed!r}, pinned {step.expected!r}{note}")
 
 
 def _status_code(reports: list[Report], strict: bool) -> int:
@@ -115,6 +115,10 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     for report in reports:
         _print_report(report, args.format)
     if args.command == "report-all" and args.format == "text":

@@ -117,14 +117,6 @@ class WedgePoint:
             if pair not in RHO_PLANE_PAIRS
         )
 
-    def __str__(self):
-        parts = []
-        for pair, k in WEDGE_INDEX.items():
-            c = self.coords[k]
-            if not is_zero(c):
-                parts.append(f"({c})*e{pair[0]}{pair[1]}")
-        return " + ".join(parts) if parts else "0"
-
 
 def plucker_embed(u: Sequence, v: Sequence) -> WedgePoint:
     """Wedge of two P^4 points: p_ij = u_i v_j - u_j v_i."""
@@ -228,24 +220,23 @@ def conic_of_centers(pen: SkewFormPencil) -> tuple[MultiPoly, ...]:
     return basis[0]
 
 
-def tangent_wedge(parametrized: Sequence[MultiPoly], params: tuple[str, str] = ("t0", "t1")) -> tuple[MultiPoly, ...]:
-    """Wedge of a parametrized P^4 point with its derivative.
+def tangent_wedge(parametrized: Sequence[MultiPoly]) -> tuple[MultiPoly, ...]:
+    """Wedge of a P^4 point parametrized by (t0 : t1) with its derivative.
 
     The derivative is taken in the affine parameter t = t1/t0 and the wedge
     re-homogenized, then content-normalized.  Output is the 10 wedge
     coordinates of the tangent line's point in P^9.
     """
-    t0n, t1n = params
     vs = parametrized[0].vars
     # affine chart t0 = 1
-    affine = [p.eval_some({t0n: 1}) for p in parametrized]
-    deriv = [p.derivative(t1n) for p in affine]
+    affine = [p.eval_some({"t0": 1}) for p in parametrized]
+    deriv = [p.derivative("t1") for p in affine]
     coords = [
         affine[i] * deriv[j] - affine[j] * deriv[i] for (i, j) in WEDGE_PAIRS
     ]
     # re-homogenize to a common degree in (t0, t1)
     top = max((c.total_degree() for c in coords if not c.is_zero), default=0)
-    t0 = MultiPoly.variable(t0n, vs)
+    t0 = MultiPoly.variable("t0", vs)
     rehom = []
     for c in coords:
         if c.is_zero:
@@ -278,21 +269,16 @@ def invariant_conic_residual(point: WedgePoint):
 
 @dataclass(frozen=True)
 class PlaneOnW:
-    """A plane of W: either the rho plane or a sigma plane.
-
-    For a sigma plane the center is a point of P^4 and the hyperplane is
+    """A sigma plane of W: the center is a point of P^4 and the hyperplane is
     spanned by the center plane <e0, e1, e2> plus one more vector; the wedge
     image is {center ^ v : v in hyperplane}.
     """
 
-    kind: str  # "rho" | "sigma"
-    center: tuple[MultiPoly, ...] | None = None
-    hyperplane: tuple[tuple[MultiPoly, ...], ...] | None = None
+    center: tuple[MultiPoly, ...]
+    hyperplane: tuple[tuple[MultiPoly, ...], ...]
 
     def wedge_points(self, weights: Sequence) -> WedgePoint:
         """A point of the plane's wedge image with the given span weights."""
-        if self.kind == "rho":
-            return WedgePoint.from_pairs(dict(zip(RHO_PLANE_PAIRS, weights)))
         total = [0] * 5
         for w, vec in zip(weights, self.hyperplane):
             total = [t + w * c for t, c in zip(total, vec)]
@@ -308,17 +294,13 @@ def sigma_center(t0, t1) -> tuple[MultiPoly, ...]:
     return tuple(to_ring([t0 * t1, t1 * t1, t0 * t0, 0, 0]))
 
 
-def sigma_plane(t0: Scalar | MultiPoly, t1: Scalar | MultiPoly | None = None) -> PlaneOnW:
+def sigma_plane(t0: Scalar | MultiPoly, t1: Scalar | MultiPoly) -> PlaneOnW:
     """The sigma plane with parameter (t0 : t1).
 
-    Called with a single rational argument t, the parameter is the affine
-    value (1 : t).  The plane's center runs along the sigma-center conic and
-    its 3-space is the member <e0, e1, e2, t1 e3 + t0 e4> of the pencil of
-    hyperplanes through <e0, e1, e2>; the center always lies inside that
-    3-space.
+    The plane's center runs along the sigma-center conic and its 3-space is
+    the member <e0, e1, e2, t1 e3 + t0 e4> of the pencil of hyperplanes
+    through <e0, e1, e2>; the center always lies inside that 3-space.
     """
-    if t1 is None:
-        t0, t1 = 1, t0
     vs = ring_of([t0, t1])
     t0p, t1p = to_ring([t0, t1], vs)
     if t0p.is_zero and t1p.is_zero:
@@ -330,4 +312,4 @@ def sigma_plane(t0: Scalar | MultiPoly, t1: Scalar | MultiPoly | None = None) ->
     extra = tuple(
         t1p if i == 3 else (t0p if i == 4 else zero) for i in range(5)
     )
-    return PlaneOnW(kind="sigma", center=center, hyperplane=(e(0), e(1), e(2), extra))
+    return PlaneOnW(center=center, hyperplane=(e(0), e(1), e(2), extra))

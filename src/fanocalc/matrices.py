@@ -47,10 +47,6 @@ class PolyMatrix:
     def __setattr__(self, *_args):
         raise AttributeError("PolyMatrix is immutable")
 
-    def __getitem__(self, ij: tuple[int, int]) -> MultiPoly:
-        i, j = ij
-        return self.entries[i][j]
-
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
@@ -88,12 +84,6 @@ class PolyMatrix:
                 for i in range(self.rows)
             ],
         )
-
-    def __neg__(self) -> "PolyMatrix":
-        return self.scale(-1)
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + (-other)
 
     def scale(self, c) -> "PolyMatrix":
         return PolyMatrix(

@@ -51,8 +51,6 @@ from fractions import Fraction
 from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence, Union
 
-RationalScalar = Fraction
-
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
 

@@ -6,6 +6,12 @@ with the FANO10_GOLDEN_PATH environment variable).  A step marked soft is
 informational: it records known caveats (for instance the naive flop count
 over curve lists containing non-K-trivial members) without failing the run.
 
+Each scenario is a module-level function ``fn(ctx, check)`` that returns
+None.  ``run_scenario`` builds the report, named by the scenario's REGISTRY
+key, and passes ``check``: ``Context.check`` bound to that report, called as
+check(claim, computed, [expected], note="", soft=False).  Without an expected
+value the claim's golden pin is the reference.
+
 Reports are deterministic given (scenario, seed).
 """
 
@@ -22,7 +28,7 @@ from importlib import resources
 from typing import Callable
 
 from . import autw, birational, quadrics, schubert
-from .errors import ConstraintError, DomainError
+from .errors import ClosureError, ConstraintError, DomainError, WitnessError
 from .grassmann import (
     WedgePoint,
     canonical_pencil,
@@ -32,6 +38,7 @@ from .grassmann import (
     invariant_conic_residual,
     p7_membership,
     pencil_rank_certificate,
+    sigma_center,
     sigma_plane,
     tangent_wedge,
     w_membership,
@@ -98,14 +105,6 @@ class Report:
             "steps": [asdict(s) for s in self.steps],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Report":
-        rep = cls(
-            scenario=data["scenario"], seed=data["seed"], samples=data["samples"]
-        )
-        rep.steps = [Step(**s) for s in data["steps"]]
-        return rep
-
 
 _PINNED = object()
 
@@ -117,6 +116,13 @@ def _reading_input():
         yield
     except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed input descriptor: {type(exc).__name__}: {exc}") from exc
+
+
+def _nonempty_list(value, key: str) -> list:
+    """value, if a non-empty list: an input that checks nothing is malformed."""
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{key!r} must be a non-empty list, got {value!r}")
+    return value
 
 
 class Context:
@@ -155,6 +161,9 @@ class Context:
             raise DomainError(f"claim {claim!r} missing from the golden store") from None
 
 
+Check = Callable[..., object]
+
+
 def _jsonable(value):
     if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
@@ -174,26 +183,23 @@ def _jsonable(value):
 # -- individual scenarios -----------------------------------------------------
 
 
-def scenario_schubert_table(ctx: Context) -> Report:
-    rep = Report("schubert-table", ctx.seed, ctx.samples)
+def scenario_schubert_table(ctx: Context, check: Check) -> None:
     table = schubert.sigma1_power_table()
-    ctx.check(rep, "schubert.sigma1_powers", [c.to_json() for c in table])
+    check("schubert.sigma1_powers", [c.to_json() for c in table])
     s1 = schubert.SchubertClass.sigma(1)
     s2 = schubert.SchubertClass.sigma(2)
     s11 = schubert.SchubertClass.sigma(1, 1)
-    ctx.check(rep, "schubert.deg_G", schubert.degree_pairing(table[6]))
-    ctx.check(rep, "schubert.pairing_2s1_6", schubert.degree_pairing(table[6].scale(2)))
-    ctx.check(
-        rep,
+    check("schubert.deg_G", schubert.degree_pairing(table[6]))
+    check("schubert.pairing_2s1_6", schubert.degree_pairing(table[6].scale(2)))
+    check(
         "schubert.pairing_2s2_s1_4",
         schubert.degree_pairing(schubert.multiply(s2, table[4]).scale(2)),
     )
-    ctx.check(
-        rep,
+    check(
         "schubert.pairing_2s11_s1_4",
         schubert.degree_pairing(schubert.multiply(s11, table[4]).scale(2)),
     )
-    ctx.check(rep, "schubert.cycle_report", schubert.cycle_degree_report())
+    check("schubert.cycle_report", schubert.cycle_degree_report())
     spec = schubert.G25
     dual_hits = 0
     for lam in spec.box_partitions():
@@ -203,19 +209,16 @@ def scenario_schubert_table(ctx: Context) -> Report:
         )
         if schubert.degree_pairing(prod) == 1:
             dual_hits += 1
-    ctx.check(rep, "schubert.poincare_duality_pairs", dual_hits)
-    return rep
+    check("schubert.poincare_duality_pairs", dual_hits)
 
 
-def scenario_rank_certificates(ctx: Context) -> Report:
-    rep = Report("rank-certificates", ctx.seed, ctx.samples)
+def scenario_rank_certificates(ctx: Context, check: Check) -> None:
     h_rank, h_cert = pencil_rank_certificate(canonical_pencil())
-    ctx.check(rep, "pencil.h_generic_rank", h_rank)
-    ctx.check(rep, "pencil.h_everywhere_ge_4", h_cert)
+    check("pencil.h_generic_rank", h_rank)
+    check("pencil.h_everywhere_ge_4", h_cert)
     p_rank, p_cert = quadrics.pfaffian_pencil_canonical().rank_certificate()
-    ctx.check(rep, "pencil.p_generic_rank", p_rank)
-    ctx.check(rep, "pencil.p_everywhere_ge_6", p_cert)
-    return rep
+    check("pencil.p_generic_rank", p_rank)
+    check("pencil.p_everywhere_ge_6", p_cert)
 
 
 def _pinned_vector(ctx: Context, claim: str) -> tuple[MultiPoly, ...]:
@@ -228,47 +231,39 @@ def _pinned_vector(ctx: Context, claim: str) -> tuple[MultiPoly, ...]:
         raise DomainError(f"golden claim {claim!r} is malformed: {exc}") from exc
 
 
-def scenario_conic_of_centers(ctx: Context) -> Report:
-    rep = Report("conic-of-centers", ctx.seed, ctx.samples)
+def scenario_conic_of_centers(ctx: Context, check: Check) -> None:
     kernel = conic_of_centers(canonical_pencil())
     display = _pinned_vector(ctx, "conic_of_centers.kernel_display")
-    ctx.check(
-        rep,
+    check(
         "conic_of_centers.kernel_display",
         projectively_equal(kernel, display),
         True,
         note="projective comparison against the pinned parametrization",
     )
     degree = max(p.total_degree() for p in kernel if not p.is_zero)
-    ctx.check(rep, "conic_of_centers.degree", degree)
+    check("conic_of_centers.degree", degree)
     span = [i for i, p in enumerate(kernel) if not p.is_zero]
-    ctx.check(rep, "conic_of_centers.span_indices", span)
-    return rep
+    check("conic_of_centers.span_indices", span)
 
 
-def scenario_dual_conic(ctx: Context) -> Report:
-    rep = Report("dual-conic", ctx.seed, ctx.samples)
+def scenario_dual_conic(ctx: Context, check: Check) -> None:
     kernel = conic_of_centers(canonical_pencil())
     wedge = WedgePoint(tangent_wedge(kernel))
-    ctx.check(rep, "dual_conic.residual_is_zero", dual_conic_residual(wedge).is_zero)
-    ctx.check(rep, "dual_conic.point_on_W", w_membership(wedge))
-    return rep
+    check("dual_conic.residual_is_zero", dual_conic_residual(wedge).is_zero)
+    check("dual_conic.point_on_W", w_membership(wedge))
 
 
-def scenario_sigma_planes(ctx: Context) -> Report:
-    rep = Report("sigma-planes", ctx.seed, ctx.samples)
+def scenario_sigma_planes(ctx: Context, check: Check) -> None:
     ring = ("al", "be", "ga", "de", "t0", "t1")
     al, be, ga, de, t0, t1 = (MultiPoly.variable(n, ring) for n in ring)
     plane = sigma_plane(t0, t1)
     point = plane.wedge_points([al, be, ga, de])
-    ctx.check(rep, "sigma_plane.symbolic_on_W", w_membership(point))
-    ctx.check(rep, "sigma_plane.symbolic_in_Yo", point.coord(3, 4).is_zero)
-    from .grassmann import sigma_center
-
+    check("sigma_plane.symbolic_on_W", w_membership(point))
+    check("sigma_plane.symbolic_in_Yo", point.coord(3, 4).is_zero)
     at_t0 = [p.eval_some({"t0": 1, "t1": 0}).constant_value() for p in sigma_center(t0, t1)]
     at_t1 = [p.eval_some({"t0": 0, "t1": 1}).constant_value() for p in sigma_center(t0, t1)]
-    ctx.check(rep, "sigma_plane.center_endpoint_t0", at_t0)
-    ctx.check(rep, "sigma_plane.center_endpoint_t1", at_t1)
+    check("sigma_plane.center_endpoint_t0", at_t0)
+    check("sigma_plane.center_endpoint_t1", at_t1)
     # the intersection with the rho plane is the tangent line of the
     # invariant conic at the tangent-wedge point: restrict the conic to the
     # line {x(t) ^ (mu e0 + nu e1)} and demand a double root
@@ -278,43 +273,20 @@ def scenario_sigma_planes(ctx: Context) -> Report:
     zero = MultiPoly.zero(lring)
     line_pt = lplane.wedge_points([mu, nu, zero, zero])
     residual = invariant_conic_residual(line_pt)
-    # double root iff residual = c * (linear form)^2: check the discriminant
-    # of the binary quadratic in (mu, nu) vanishes identically
-    a2 = _coeff2(residual, "mu")
-    b2 = _coeff11(residual, "mu", "nu")
-    c2 = _coeff2(residual, "nu")
-    disc = b2 * b2 - 4 * a2 * c2
-    ctx.check(rep, "sigma_plane.meets_rho_in_tangent_line", disc.is_zero)
-    return rep
+    # double root iff residual = c * (linear form)^2: the discriminant of the
+    # binary quadratic a mu^2 + b mu nu + c nu^2 vanishes identically; its
+    # Hessian f_mn^2 - f_mm f_nn is exactly b^2 - 4ac
+    f_m, f_n = residual.derivative("mu"), residual.derivative("nu")
+    f_mn = f_m.derivative("nu")
+    disc = f_mn * f_mn - f_m.derivative("mu") * f_n.derivative("nu")
+    check("sigma_plane.meets_rho_in_tangent_line", disc.is_zero)
 
 
-def _coeff2(p: MultiPoly, name: str) -> MultiPoly:
-    idx = p.vars.index(name)
-    terms = {
-        tuple(0 if i == idx else x for i, x in enumerate(e)): c
-        for e, c in p.terms.items()
-        if e[idx] == 2
-    }
-    return MultiPoly(p.vars, terms)
-
-
-def _coeff11(p: MultiPoly, n1: str, n2: str) -> MultiPoly:
-    i1, i2 = p.vars.index(n1), p.vars.index(n2)
-    terms = {
-        tuple(0 if i in (i1, i2) else x for i, x in enumerate(e)): c
-        for e, c in p.terms.items()
-        if e[i1] == 1 and e[i2] == 1
-    }
-    return MultiPoly(p.vars, terms)
-
-
-def scenario_autw_p7(ctx: Context) -> Report:
-    rep = Report("aut-w-p7", ctx.seed, ctx.samples)
+def scenario_autw_p7(ctx: Context, check: Check) -> None:
     family = autw.symbolic_family()
     defects = autw.p7_defect(family)
-    ctx.check(rep, "autw.p7_defect_count", len(defects))
-    ctx.check(
-        rep,
+    check("autw.p7_defect_count", len(defects))
+    check(
         "autw.p7_defects_vanish_both_charts",
         all(autw.vanishes_mod_sl2(d) for d in defects),
     )
@@ -323,28 +295,26 @@ def scenario_autw_p7(ctx: Context) -> Report:
         rejected = False
     except ConstraintError:
         rejected = True
-    ctx.check(rep, "autw.violating_element_rejected", rejected)
+    check("autw.violating_element_rejected", rejected)
     if ctx.input_data and "elements" in ctx.input_data:
         with _reading_input():
-            elements = [autw.AutWElement.from_json(e) for e in ctx.input_data["elements"]]
+            elements = [
+                autw.AutWElement.from_json(e) for e in _nonempty_list(ctx.input_data["elements"], "elements")
+            ]
         for i, element in enumerate(elements):
-            ctx.check(
-                rep,
+            check(
                 f"autw.input_element_{i}_preserves_p7",
                 autw.preserves_P7(element),
                 True,
             )
-    return rep
 
 
-def scenario_autw_orbit_formula(ctx: Context) -> Report:
-    rep = Report("aut-w-orbit-formula", ctx.seed, ctx.samples)
+def scenario_autw_orbit_formula(ctx: Context, check: Check) -> None:
     ring = ("u", "v", "x", "y")
     u, v, x, y = (MultiPoly.variable(n, ring) for n in ring)
     raw = autw.wedge_square_action_raw(autw.ga_element(u, v, x, y), WedgePoint.basis_vector(3, 4))
     formula = autw.orbit_formula(u, v, x, y)
-    ctx.check(
-        rep,
+    check(
         "autw.orbit_formula_matches_action",
         all((a - b).is_zero for a, b in zip(raw.coords, formula.coords)),
     )
@@ -355,7 +325,7 @@ def scenario_autw_orbit_formula(ctx: Context) -> Report:
     )
     image = PolyMatrix(sring, stab.wedge_matrix()).apply([0] * 9 + [1])
     fixes = all(p.is_zero for p in image[:9]) and not image[9].is_zero
-    ctx.check(rep, "autw.stabilizer_fixes_e34", fixes)
+    check("autw.stabilizer_fixes_e34", fixes)
     seeds = {
         "e34": WedgePoint.basis_vector(3, 4),
         "e13": WedgePoint.basis_vector(1, 3),
@@ -363,8 +333,7 @@ def scenario_autw_orbit_formula(ctx: Context) -> Report:
         "e02": WedgePoint.basis_vector(0, 2),
     }
     labels = {name: autw.orbit_classify(p).value for name, p in seeds.items()}
-    ctx.check(rep, "orbit.seed_labels", labels)
-    return rep
+    check("orbit.seed_labels", labels)
 
 
 def _sampled_note(note: str, failed: list[tuple[int, str]]) -> str:
@@ -381,8 +350,7 @@ def _ga_matrix(ring: tuple[str, ...], *params) -> PolyMatrix:
     return PolyMatrix(ring, autw.ga_element(*params).matrix5())
 
 
-def scenario_autw_closure(ctx: Context) -> Report:
-    rep = Report("aut-w-closure", ctx.seed, ctx.samples)
+def scenario_autw_closure(ctx: Context, check: Check) -> None:
     rng = random.Random(ctx.seed)
     pair_count = max(500, ctx.samples)
     failed: list[tuple[int, str]] = []
@@ -393,12 +361,11 @@ def scenario_autw_closure(ctx: Context) -> Report:
             product = autw.group_closure_check(g1, g2)
             roundtrip = autw.decompose_matrix(product.matrix5())
             cause = None if autw.elements_equal(product, roundtrip) else "round trip differs"
-        except Exception as exc:
+        except ClosureError as exc:
             cause = type(exc).__name__
         if cause is not None:
             failed.append((index, cause))
-    ctx.check(
-        rep,
+    check(
         "autw.closure_failures",
         len(failed),
         note=_sampled_note(f"{pair_count} random pairs", failed),
@@ -410,14 +377,12 @@ def scenario_autw_closure(ctx: Context) -> Report:
     sums = _ga_matrix(ring, *(p + q for p, q in zip(gens1, gens2)))
     prods = _ga_matrix(ring, *(p * q for p, q in zip(gens1, gens2)))
     law = "sums" if lhs == sums else ("products" if lhs == prods else "neither")
-    ctx.check(
-        rep,
+    check(
         "autw.ga_composition_law",
         law,
         note="block multiplication composes the unipotent parameters additively",
     )
-    ctx.check(
-        rep,
+    check(
         "autw.ga_multiplicative_table_matches",
         lhs == prods,
         note="the parameter-wise product table does not match block multiplication",
@@ -430,24 +395,20 @@ def scenario_autw_closure(ctx: Context) -> Report:
     scaled = _ga_matrix(cring, lam * cu, lam * cv, lam * cx, lam * cy)
     lhs2 = gm * _ga_matrix(cring, cu, cv, cx, cy)
     rhs2 = scaled * gm
-    ctx.check(
-        rep,
+    check(
         "autw.gm_conjugation_scaling",
         lhs2 == rhs2,
         note="conjugation by the scaling subgroup multiplies the parameters by lam",
     )
-    ctx.check(
-        rep,
+    check(
         "autw.gm_left_multiplication_matches",
         lhs2 == scaled,
         note="plain left multiplication does not land back in the unipotent subgroup",
         soft=True,
     )
-    return rep
 
 
-def scenario_orbit_invariance(ctx: Context) -> Report:
-    rep = Report("orbit-invariance", ctx.seed, ctx.samples)
+def scenario_orbit_invariance(ctx: Context, check: Check) -> None:
     rng = random.Random(ctx.seed)
     seeds = [
         WedgePoint.basis_vector(3, 4),
@@ -456,22 +417,18 @@ def scenario_orbit_invariance(ctx: Context) -> Report:
         WedgePoint.basis_vector(0, 2),
     ]
     failures = 0
-    pairs = 0
-    while pairs < 200:
-        base = seeds[pairs % 4]
+    for index in range(200):
+        base = seeds[index % 4]
         mover = autw.random_element(rng)
         point = autw.wedge_square_action(autw.random_element(rng), base)
         if autw.orbit_classify(point) != autw.orbit_classify(
             autw.wedge_square_action(mover, point)
         ):
             failures += 1
-        pairs += 1
-    ctx.check(rep, "orbit.invariance_failures", failures, note="200 random (element, point) pairs")
-    return rep
+    check("orbit.invariance_failures", failures, note="200 random (element, point) pairs")
 
 
-def scenario_orbit_witnesses(ctx: Context) -> Report:
-    rep = Report("orbit-witnesses", ctx.seed, ctx.samples)
+def scenario_orbit_witnesses(ctx: Context, check: Check) -> None:
     rng = random.Random(ctx.seed)
     failed: list[tuple[int, str]] = []
     trials = 0
@@ -487,37 +444,24 @@ def scenario_orbit_witnesses(ctx: Context) -> Report:
                 witness = autw.orbit_transitivity_witness(p, q)
                 ok = witness is not None and autw.wedge_square_action(witness, p).proj_eq(q)
                 cause = None if ok else "no valid witness"
-            except Exception as exc:
+            except (ClosureError, ConstraintError, DomainError, WitnessError) as exc:
                 cause = type(exc).__name__
             if cause is not None:
                 failed.append((trials, cause))
             trials += 1
-    ctx.check(
-        rep,
+    check(
         "orbit.witness_failures",
         len(failed),
         note=_sampled_note(f"{trials} transported pairs", failed),
     )
-    return rep
 
 
-def scenario_line_transform(ctx: Context) -> Report:
-    rep = Report("line-transform", ctx.seed, ctx.samples)
-    ctx.check(rep, "line.curve_count", 11, note="input constant: lines meeting a general line")
-    ctx.check(
-        rep,
-        "line.genus",
-        birational.genus_from_anticanonical_cube(birational.initial_state_x10()),
-    )
-    birational.scenario_line_transform(functools.partial(ctx.check, rep))
-    return rep
+def scenario_line_transform(ctx: Context, check: Check) -> None:
+    birational.scenario_line_transform(check)
 
 
-def scenario_conic_transform(ctx: Context) -> Report:
-    rep = Report("conic-transform", ctx.seed, ctx.samples)
-    ctx.check(rep, "conic.curve_count_lines", 20, note="input constant: lines meeting a general conic")
-    birational.scenario_conic_transform(functools.partial(ctx.check, rep))
-    return rep
+def scenario_conic_transform(ctx: Context, check: Check) -> None:
+    birational.scenario_conic_transform(check)
 
 
 def _min_success_fraction(ctx: Context):
@@ -527,42 +471,36 @@ def _min_success_fraction(ctx: Context):
     return value
 
 
-def scenario_node_projection(ctx: Context) -> Report:
-    rep = Report("node-projection", ctx.seed, ctx.samples)
-    ctx.check(rep, "node.line_count", 6, note="input constant: lines through the node")
-    birational.scenario_node_projection(functools.partial(ctx.check, rep))
+def scenario_node_projection(ctx: Context, check: Check) -> None:
+    birational.scenario_node_projection(check)
     pen = quadrics.pfaffian_pencil_canonical()
-    ctx.check(rep, "quadrics.rank_P_o", pen.a.rank())
-    ctx.check(rep, "quadrics.rank_P_inf", pen.b.rank())
+    check("quadrics.rank_P_o", pen.a.rank())
+    check("quadrics.rank_P_inf", pen.b.rank())
     span = quadrics.common_subspace_p3o()
-    ctx.check(
-        rep,
+    check(
         "quadrics.pencil_contains_p3o",
         all(g.restrict_to_span(span).is_zero for g in (pen.a, pen.b)),
     )
     state = birational.blow_up_node(birational.initial_state_x10())
     mk = state.minus_k()
-    ctx.check(rep, "quadrics.projected_degree", state.triple_product(mk, mk, mk))
+    check("quadrics.projected_degree", state.triple_product(mk, mk, mk))
     curve, degree = quadrics.vertex_curve(pen)
-    ctx.check(rep, "quadrics.vertex_curve_degree", degree)
-    ctx.check(
-        rep,
+    check("quadrics.vertex_curve_degree", degree)
+    check(
         "quadrics.vertex_curve_display",
         projectively_equal(curve, _pinned_vector(ctx, "quadrics.vertex_curve_display")),
         True,
         note="projective comparison against the pinned twisted cubic",
     )
     codims = {str(k): quadrics.determinantal_codim(k) for k in range(1, 7)}
-    ctx.check(rep, "quadrics.codim_table", codims)
+    check("quadrics.codim_table", codims)
     successes = sum(1 for r in ctx.seeded_nets if r["ok"])
-    ctx.check(
-        rep,
+    check(
         "node.net_success_threshold",
         successes >= _min_success_fraction(ctx) * ctx.samples,
         True,
         note=f"{successes}/{ctx.samples} seeded nets split cleanly",
     )
-    return rep
 
 
 #: (claim, net report field) of each stage of the determinantal split.
@@ -573,8 +511,7 @@ _SPLIT_STAGES = (
 )
 
 
-def scenario_determinantal_split(ctx: Context) -> Report:
-    rep = Report("determinantal-split", ctx.seed, ctx.samples)
+def scenario_determinantal_split(ctx: Context, check: Check) -> None:
     if ctx.input_data and "net" in ctx.input_data:
         with _reading_input():
             gens = [
@@ -587,24 +524,22 @@ def scenario_determinantal_split(ctx: Context) -> Report:
         note = f"net from input descriptor; septic coefficients {result.get('septic_coefficients')}"
         for claim, field_name in _SPLIT_STAGES:
             if result.get(field_name) is None:
-                ctx.check(rep, claim, None, note=result["failure"])
-                return rep
-            ctx.check(rep, claim, result[field_name], note=note)
+                check(claim, None, note=result["failure"])
+                return
+            check(claim, result[field_name], note=note)
             note = ""
-        ctx.check(rep, "split.line_points_distinct", result["line_intersection_distinct"], True, soft=True)
-        return rep
+        check("split.line_points_distinct", result["line_intersection_distinct"], True, soft=True)
+        return
     runs = ctx.seeded_nets
     successes = sum(1 for r in runs if r["ok"])
     degenerate = [i for i, r in enumerate(runs) if not r["ok"]]
-    ctx.check(
-        rep,
+    check(
         "split.success_threshold",
         successes >= _min_success_fraction(ctx) * ctx.samples,
         True,
         note=f"{successes}/{ctx.samples} nets; degenerate samples {degenerate}",
     )
-    ctx.check(
-        rep,
+    check(
         "split.all_samples_clean",
         successes == ctx.samples,
         True,
@@ -613,18 +548,22 @@ def scenario_determinantal_split(ctx: Context) -> Report:
     )
     for claim, field_name in _SPLIT_STAGES:
         values = {r.get(field_name) for r in runs if r["ok"]}
-        ctx.check(rep, claim + "_uniform", values, {ctx.pinned(claim)})
-    return rep
+        check(claim + "_uniform", values, {ctx.pinned(claim)})
 
 
-def scenario_membership_checks(ctx: Context) -> Report:
+#: (descriptor key, membership test) of each expectation a point may carry.
+_MEMBERSHIP_TESTS = (("grassmann", grassmann_membership), ("p7", p7_membership), ("w", w_membership))
+
+
+def scenario_membership_checks(ctx: Context, check: Check) -> None:
     """Membership/certificate checks driven by a JSON descriptor.
 
     Descriptor format: {"points": [{"coords": ["0", "1", ...10 rationals as
     strings or integers], "grassmann": bool, "p7": bool, "w": bool}, ...]}.
-    Without input a bundled set of characteristic points is used.
+    The list must be non-empty and each point must carry at least one of
+    the three expectations.  Without input a bundled set of characteristic
+    points is used.
     """
-    rep = Report("membership-checks", ctx.seed, ctx.samples)
     default_points = [
         {"coords": ["0", "0", "0", "0", "0", "0", "0", "0", "0", "1"], "grassmann": True, "p7": True, "w": True},
         {"coords": ["0", "0", "1", "0", "0", "0", "0", "0", "0", "0"], "grassmann": True, "p7": False, "w": False},
@@ -634,19 +573,18 @@ def scenario_membership_checks(ctx: Context) -> Report:
     ]
     spec = (ctx.input_data or {}).get("points", default_points)
     with _reading_input():
-        points = [WedgePoint.make(fractions_from_json(entry["coords"])) for entry in spec]
+        points = [WedgePoint.make(fractions_from_json(entry["coords"])) for entry in _nonempty_list(spec, "points")]
+        for entry in spec:
+            expected = [entry[key] for key, _ in _MEMBERSHIP_TESTS if key in entry]
+            if not expected or not all(isinstance(value, bool) for value in expected):
+                raise ValueError(f"a point needs grassmann, p7 or w expectations that are bools, got {entry!r}")
     for i, (entry, point) in enumerate(zip(spec, points)):
-        for key, fn in (
-            ("grassmann", grassmann_membership),
-            ("p7", p7_membership),
-            ("w", w_membership),
-        ):
+        for key, fn in _MEMBERSHIP_TESTS:
             if key in entry:
-                ctx.check(rep, f"membership.point{i}.{key}", fn(point), entry[key])
-    return rep
+                check(f"membership.point{i}.{key}", fn(point), entry[key])
 
 
-REGISTRY: dict[str, tuple[Callable[[Context], Report], str]] = {
+REGISTRY: dict[str, tuple[Callable[[Context, Check], None], str]] = {
     "schubert-table": (scenario_schubert_table, "Schubert ring of G(2,5): powers of the hyperplane class and degree pairings"),
     "rank-certificates": (scenario_rank_certificates, "universal rank certificates for the two distinguished pencils"),
     "conic-of-centers": (scenario_conic_of_centers, "kernel parametrization of the skew pencil"),
@@ -665,11 +603,14 @@ REGISTRY: dict[str, tuple[Callable[[Context], Report], str]] = {
 }
 
 
-def run_scenario(name: str, ctx: Context | None = None) -> Report:
+def run_scenario(name: str, ctx: Context) -> Report:
+    """Run the REGISTRY scenario name into a fresh report of that name."""
     if name not in REGISTRY:
         raise DomainError(f"unknown scenario {name!r}")
     fn, _ = REGISTRY[name]
-    return fn(ctx if ctx is not None else Context())
+    report = Report(name, ctx.seed, ctx.samples)
+    fn(ctx, functools.partial(ctx.check, report))
+    return report
 
 
 def catalog() -> list[tuple[str, str]]:

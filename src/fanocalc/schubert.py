@@ -176,45 +176,14 @@ def _row_strips(spec: GrassmannRingSpec, lam: Partition, a: int) -> Iterator[Par
     yield from rec(0, spec.cols, [], a)
 
 
-def _col_strips(spec: GrassmannRingSpec, lam: Partition, a: int) -> Iterator[Partition]:
-    """Partitions mu obtained by adding a vertical a-strip (at most one box
-    per row) inside the box."""
-    lam = spec.pad(lam)
-    rows = spec.rows
-
-    def rec(i: int, acc: list[int], left: int):
-        if i == rows:
-            if left == 0:
-                yield tuple(acc)
-            return
-        for add in (0, 1):
-            mu_i = lam[i] + add
-            if mu_i > spec.cols or left - add < 0:
-                continue
-            if i > 0 and mu_i > acc[-1]:
-                continue
-            yield from rec(i + 1, acc + [mu_i], left - add)
-
-    yield from rec(0, [], a)
-
-
-def pieri_multiply(c: SchubertClass, a: int, kind: str = "row") -> SchubertClass:
-    """Multiply by the special class sigma_a (kind="row") or sigma_{1,..,1}
-    with a ones (kind="column")."""
+def pieri_multiply(c: SchubertClass, a: int) -> SchubertClass:
+    """Multiply by the special class sigma_a."""
     spec = c.spec
-    if kind == "row":
-        if not 1 <= a <= spec.cols:
-            raise DomainError(f"row Pieri needs 1 <= a <= {spec.cols}, got {a}")
-        strips = _row_strips
-    elif kind == "column":
-        if not 1 <= a <= spec.rows:
-            raise DomainError(f"column Pieri needs 1 <= a <= {spec.rows}, got {a}")
-        strips = _col_strips
-    else:
-        raise DomainError(f"unknown Pieri kind {kind!r}")
+    if not 1 <= a <= spec.cols:
+        raise DomainError(f"Pieri needs 1 <= a <= {spec.cols}, got {a}")
     out: dict[Partition, int] = {}
     for lam, coeff in c.terms.items():
-        for mu in strips(spec, lam, a):
+        for mu in _row_strips(spec, lam, a):
             out[mu] = out.get(mu, 0) + coeff
     return SchubertClass(spec, out)
 
@@ -256,7 +225,7 @@ def multiply(c1: SchubertClass, c2: SchubertClass) -> SchubertClass:
         for sign, degrees in _giambelli_monomials(spec, lam):
             acc = c1
             for m in degrees:
-                acc = pieri_multiply(acc, m, "row")
+                acc = pieri_multiply(acc, m)
             result = result + acc.scale(sign * coeff)
     return result
 

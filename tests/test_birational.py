@@ -1,7 +1,6 @@
-import functools
-
 import pytest
 
+from fanocalc import birational
 from fanocalc.birational import (
     CurveData,
     FloppedCurve,
@@ -16,12 +15,9 @@ from fanocalc.birational import (
     initial_state_x10,
     k_degree_of_curve,
     m_cubed_by_adjunction,
-    scenario_conic_transform,
-    scenario_line_transform,
-    scenario_node_projection,
 )
 from fanocalc.errors import DimensionError, DomainError, NotAFlopError
-from fanocalc.scenarios import Context, Report
+from fanocalc.scenarios import Context, run_scenario
 
 LINE = CurveData(genus=0, h_degree=1, k_degree=-1, label="line")
 CONIC = CurveData(genus=0, h_degree=2, k_degree=-2, label="conic")
@@ -189,11 +185,29 @@ def test_k_degree_of_curve():
 
 def test_scenarios_run_green():
     ctx = Context()
-    for fn in (scenario_line_transform, scenario_conic_transform, scenario_node_projection):
-        report = Report(fn.__name__, ctx.seed, ctx.samples)
-        fn(functools.partial(ctx.check, report))
+    for name in ("line-transform", "conic-transform", "node-projection"):
+        report = run_scenario(name, ctx)
         assert report.steps
         assert all(s.passed for s in report.steps if not s.soft), report.steps
+
+
+#: (count constant, scenario, step reporting it) of each flop pipeline.
+FLOP_COUNTS = [
+    ("LINES_MEETING_A_LINE", "line-transform", "line.curve_count"),
+    ("LINES_MEETING_A_CONIC", "conic-transform", "conic.curve_count_lines"),
+    ("LINES_THROUGH_THE_NODE", "node-projection", "node.line_count"),
+]
+
+
+@pytest.mark.parametrize("constant, scenario, claim", FLOP_COUNTS)
+def test_count_step_reports_the_curves_the_pipeline_flops(constant, scenario, claim, monkeypatch):
+    # flopping two more lines than the pinned count must fail the count step
+    value = getattr(birational, constant) + 2
+    monkeypatch.setattr(birational, constant, value)
+    report = run_scenario(scenario, Context(samples=1))
+    step = next(s for s in report.steps if s.claim == claim)
+    assert (step.computed, step.expected, step.passed) == (value, value - 2, False)
+    assert report.status == "fail"
 
 
 def test_curve_data_validation():

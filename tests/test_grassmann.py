@@ -212,7 +212,7 @@ def test_sigma_center_is_forced_by_membership():
     one, zero = MultiPoly.one(ring), MultiPoly.zero(ring)
     e = lambda k: tuple(one if i == k else zero for i in range(5))
     extra = tuple(one if i == 3 else zero for i in range(5))
-    bad = PlaneOnW(kind="sigma", center=bad_center, hyperplane=(e(0), e(1), e(2), extra))
+    bad = PlaneOnW(center=bad_center, hyperplane=(e(0), e(1), e(2), extra))
     pt = bad.wedge_points([al, be, ga, de])
     assert not w_membership(pt)
 
@@ -276,7 +276,7 @@ def test_sigma_plane_meets_rho_plane_in_conic_tangent_line():
 def test_rho_plane_points_on_w():
     ring = ("p", "q", "r")
     p, q, r = (MultiPoly.variable(n, ring) for n in ring)
-    point = PlaneOnW(kind="rho").wedge_points([p, q, r])
+    point = WedgePoint.from_pairs(dict(zip(RHO_PLANE_PAIRS, [p, q, r])))
     assert w_membership(point)
     assert point.in_rho_plane_span()
 

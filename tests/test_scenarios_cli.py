@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import random
 
@@ -6,9 +7,10 @@ import pytest
 
 from fanocalc import autw, quadrics
 from fanocalc.cli import main
-from fanocalc.errors import DomainError
+from fanocalc.errors import ClosureError, DomainError, WitnessError
 from fanocalc.serialize import poly_to_json
 from fanocalc.scenarios import (
+    REGISTRY,
     Context,
     Report,
     catalog,
@@ -47,15 +49,7 @@ def test_fast_scenarios_pass(name):
 
 def test_unknown_scenario_raises():
     with pytest.raises(DomainError):
-        run_scenario("nonexistent")
-
-
-def test_report_json_roundtrip():
-    report = run_scenario("rank-certificates", Context())
-    data = json.loads(json.dumps(report.to_json()))
-    back = Report.from_json(data)
-    assert back.to_json() == report.to_json()
-    assert back.status == report.status
+        run_scenario("nonexistent", Context())
 
 
 def test_reports_deterministic_for_fixed_seed():
@@ -370,6 +364,7 @@ def test_sample_count_below_one_is_a_usage_error(samples, capsys):
 
 
 ZERO_U = ["0", "0", "0", "0", "0", "0"]
+E34 = ["0"] * 9 + ["1"]
 
 
 def diagonal(*entries):
@@ -394,6 +389,12 @@ def diagonal(*entries):
         ("membership-checks", json.dumps({"points": [{"coords": [True] + [0] * 9}]})),
         ("membership-checks", json.dumps({"points": [{"coords": "0000000001"}]})),
         ("determinantal-split", json.dumps({"net": [diagonal(1.0, 1, 1, 1, 1, 1, 1), diagonal(1, 2, 3, 4, 5, 6, 7), diagonal(1, -1, 2, -2, 3, -3, 4)]})),
+        # descriptors that would check nothing, or compare with a non-bool
+        ("membership-checks", json.dumps({"points": []})),
+        ("membership-checks", json.dumps({"points": {}})),
+        ("membership-checks", json.dumps({"points": [{"coords": E34}]})),
+        ("membership-checks", json.dumps({"points": [{"coords": E34, "w": "yes"}]})),
+        ("aut-w-p7", json.dumps({"elements": []})),
     ],
     ids=[
         "bad-json",
@@ -411,6 +412,11 @@ def diagonal(*entries):
         "bool-coordinate",
         "string-coords",
         "float-net-entry",
+        "empty-points",
+        "points-object",
+        "no-expectation",
+        "string-expectation",
+        "empty-elements",
     ],
 )
 def test_malformed_input_descriptor_is_a_usage_error(scenario, content, tmp_path, capsys):
@@ -525,32 +531,32 @@ def test_pipeline_mismatch_is_a_failed_step(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "scenario, target, claim, note",
+    "scenario, target, error, claim, note",
     [
         (
             "aut-w-closure",
             "group_closure_check",
+            ClosureError,
             "autw.closure_failures",
-            "500 random pairs; first failure: sample 3 (ArithmeticError)",
+            "500 random pairs; first failure: sample 3 (ClosureError)",
         ),
         (
             "orbit-witnesses",
             "orbit_transitivity_witness",
+            WitnessError,
             "orbit.witness_failures",
-            "60 transported pairs; first failure: sample 3 (ArithmeticError)",
+            "60 transported pairs; first failure: sample 3 (WitnessError)",
         ),
     ],
 )
-def test_sampled_step_note_names_first_failing_sample(scenario, target, claim, note, monkeypatch):
-    from fanocalc import autw
-
+def test_sampled_step_note_names_first_failing_sample(scenario, target, error, claim, note, monkeypatch):
     original = getattr(autw, target)
     calls = []
 
     def fail_on_sample_3(*args):
         calls.append(None)
         if len(calls) == 4:
-            raise ArithmeticError("injected")
+            raise error("injected")
         return original(*args)
 
     monkeypatch.setattr(autw, target, fail_on_sample_3)
@@ -558,3 +564,37 @@ def test_sampled_step_note_names_first_failing_sample(scenario, target, claim, n
     step = next(s for s in report.steps if s.claim == claim)
     assert step.computed == 1
     assert step.note == note
+
+
+def test_every_scenario_takes_ctx_and_check():
+    for name, (fn, _) in REGISTRY.items():
+        assert list(inspect.signature(fn).parameters) == ["ctx", "check"], name
+        assert fn.__module__.startswith("fanocalc.") and "." not in fn.__qualname__, name
+
+
+@pytest.mark.parametrize(
+    "scenario, target",
+    [("aut-w-closure", "group_closure_check"), ("orbit-witnesses", "orbit_transitivity_witness")],
+)
+def test_sampled_loop_does_not_count_a_foreign_error(scenario, target, monkeypatch):
+    # only the errors the sampled calls raise by contract are failures of a
+    # sample; any other error leaves the scenario
+    def broken(*args):
+        raise TypeError("unrelated programming error")
+
+    monkeypatch.setattr(autw, target, broken)
+    with pytest.raises(TypeError, match="unrelated programming error"):
+        run_scenario(scenario, Context(seed=0, samples=1))
+
+
+def test_internal_error_exits_3_with_the_traceback(monkeypatch, capsys):
+    def broken(*args):
+        raise TypeError("unrelated programming error")
+
+    monkeypatch.setattr(autw, "group_closure_check", broken)
+    assert main(["run", "aut-w-closure"]) == 3
+    captured = capsys.readouterr()
+    assert "autw.closure_failures" not in captured.out
+    assert captured.err.startswith("Traceback (most recent call last):")
+    assert captured.err.endswith("\ninternal error: TypeError: unrelated programming error\n")
+

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -45,3 +46,44 @@ def test_net_split_statistics_counts_failures_by_their_text(monkeypatch, capsys)
         "'the line does not divide the curve': 1, 'repeated-intersection': 1}"
     ) in out
     assert "clean fraction: 0.250" in out
+
+
+def test_bench_pairs_keeps_a_failed_run_and_writes_the_file(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "BENCH.json"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower"}], "per_layer": []})
+    )
+    change_runs = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 128, "", "not a git repository")
+        if cwd == change:
+            change_runs.append(cmd)
+            if len(change_runs) == 2:
+                return subprocess.CompletedProcess(cmd, 1, "", "x" * 3000 + "TimeoutError: deadline\n")
+        result = {"metrics": {"wall_s": {"value": 1.0 if cwd == parent else 0.9}}}
+        return subprocess.CompletedProcess(cmd, 0, json.dumps({"rev": cwd.name}) + "\n" + json.dumps(result), "")
+
+    monkeypatch.setattr(script.subprocess, "run", fake_run)
+    monkeypatch.setattr(
+        sys,
+        "argv",
+        ["bench_pairs.py", "--parent", str(parent), "--change", str(change), "--workload", "report-all",
+         "--seed", "5", "--seconds", "1", "--pairs", "2", "--out", str(out)],
+    )
+    assert script.main() == 1
+    entry = json.loads(out.read_text())["runs"]["report-all seed=5 trace=0"]
+    failed = entry["pairs"][1]["change"]
+    assert set(failed) == {"exit", "wall_seconds", "stderr"}
+    assert failed["exit"] == 1
+    assert len(failed["stderr"]) == 2000 and failed["stderr"].endswith("TimeoutError: deadline\n")
+    assert entry["pairs"][1]["parent"]["result"]["metrics"]["wall_s"]["value"] == 1.0
+    summary = entry["summary"]["wall_s"]
+    assert (summary["pairs"], summary["change_wins"]) == (1, 1)
+    assert abs(summary["median_gain"] - 0.1) < 1e-12
